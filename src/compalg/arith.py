@@ -58,14 +58,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    r = 1
-    for p in factorize(n):
-        r *= p
-    return r
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     small, large = [], []

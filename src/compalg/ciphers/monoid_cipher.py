@@ -16,6 +16,7 @@ from typing import Iterable
 
 from ..arith import is_prime, is_primitive_root
 from ..errors import FormatError, ParameterError
+from ..textio import key_record_text, parse_key_record
 
 
 def discrete_log_bsgs(base: int, target: int, p: int) -> int:
@@ -125,18 +126,15 @@ def monoid_decrypt(values: Iterable[int], key: MonoidCipherKey) -> list[int]:
 
 def key_to_text(key: MonoidCipherKey) -> str:
     coeffs = ",".join(str(a) for a in key.coefficients)
-    return f"monoid-cipher v1 P={key.alphabet_size} X={key.base} A={coeffs}"
+    return key_record_text("monoid-cipher", {"P": key.alphabet_size, "X": key.base, "A": coeffs})
 
 
 def key_from_text(text: str) -> MonoidCipherKey:
-    parts = text.split()
-    if parts[:2] != ["monoid-cipher", "v1"]:
-        raise FormatError("not a monoid-cipher v1 key record")
-    fields = dict(part.split("=", 1) for part in parts[2:])
+    fields = parse_key_record(text, "monoid-cipher", ("P", "X", "A"))
     try:
         p = int(fields["P"])
         x = int(fields["X"])
         coeffs = tuple(int(a) for a in fields["A"].split(","))
-    except (KeyError, ValueError):
-        raise FormatError("monoid-cipher key record is missing fields") from None
+    except ValueError:
+        raise FormatError("monoid-cipher key record has a non-integer field") from None
     return MonoidCipherKey(p, x, coeffs)

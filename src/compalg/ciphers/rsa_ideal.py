@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from ..errors import FormatError, ParameterError
+from ..errors import ParameterError
 from ..ideals import PrincipalIdeal, inverse_ideal, totient_ideal
+from ..textio import ideal_text, key_record_text, parse_ideal, parse_key_record
 
 
 @dataclass(frozen=True)
@@ -72,23 +73,14 @@ def rsa_decrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:
 # key file form: rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)
 
 
+_KEY_FIELDS = ("N", "E", "D", "PHI")
+
+
 def key_to_text(key: RsaIdealKey) -> str:
-    return (
-        f"rsa-ideal v1 N={key.modulus!r} E={key.e!r} "
-        f"D={key.d!r} PHI={key.phi!r}"
-    )
+    ideals = (key.modulus, key.e, key.d, key.phi)
+    return key_record_text("rsa-ideal", dict(zip(_KEY_FIELDS, map(ideal_text, ideals))))
 
 
 def key_from_text(text: str) -> RsaIdealKey:
-    parts = text.split()
-    if parts[:2] != ["rsa-ideal", "v1"]:
-        raise FormatError("not an rsa-ideal v1 key record")
-    fields = dict(part.split("=", 1) for part in parts[2:])
-    try:
-        vals = {
-            name: PrincipalIdeal(int(fields[name][1:-1]))
-            for name in ("N", "E", "D", "PHI")
-        }
-    except (KeyError, ValueError):
-        raise FormatError("rsa-ideal key record is missing fields") from None
-    return RsaIdealKey(vals["N"], vals["E"], vals["D"], vals["PHI"])
+    fields = parse_key_record(text, "rsa-ideal", _KEY_FIELDS)
+    return RsaIdealKey(*(parse_ideal(fields[name]) for name in _KEY_FIELDS))

@@ -1,10 +1,10 @@
 """Command-line surface for every operation in the package.
 
-Exit codes: 0 success, 1 domain errors (stderr line ``ERR:<code>: ...``),
-2 usage errors. All randomness flows through explicit seed flags, so
-every command is reproducible; the examples shown in each subcommand's
-help are executed verbatim by the test suite and must match byte for
-byte.
+Exit codes: 0 success, 1 domain and file errors (stderr line
+``ERR:<code>: ...``, with code ``io`` for files), 2 usage errors. All
+randomness flows through explicit seed flags, so every command is
+reproducible; the examples shown in each subcommand's help are
+executed verbatim by the test suite and must match byte for byte.
 """
 
 from __future__ import annotations
@@ -32,18 +32,19 @@ from .keyexchange import (
     run_dh,
 )
 from .monoid_domain import build_irreducible, is_irreducible_by_search
-from .poly import Polynomial, search_inverse
+from .poly import search_inverse
 from .textio import (
+    key_record_text,
     monoid_element_text,
     parse_composite,
     parse_ideal,
+    parse_key_record,
     parse_monoid,
     parse_monoid_element,
     parse_poly,
     parse_ring,
     parse_element,
-    parse_scalar,
-    parse_tower,
+    parse_tower_poly,
     poly_body_text,
 )
 from .ciphers import (
@@ -87,11 +88,12 @@ def _emit(args, lines, obj) -> int:
     return 0
 
 
-def _parse_values(text: str) -> list[int]:
+def _parse_values(text: str, sep: str | None = None) -> list[int]:
     try:
-        return [int(tok) for tok in text.split()]
+        return [int(tok) for tok in text.split(sep)]
     except ValueError:
-        raise FormatError(f"expected whitespace-separated integers, got {text!r}") from None
+        kind = "comma" if sep else "whitespace"
+        raise FormatError(f"expected {kind}-separated integers, got {text!r}") from None
 
 
 def _load_alphabet(args) -> alpha.Alphabet:
@@ -176,16 +178,7 @@ def cmd_poly_oracle(args):
 
 
 def cmd_composite_check(args):
-    tower_part, sep, body = args.element.partition(":")
-    if not sep:
-        raise FormatError(f"expected TOWER:[coeffs], got {args.element!r}")
-    tower = parse_tower(tower_part)
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise FormatError(f"expected [coeffs], got {body!r}")
-    inner = body[1:-1].strip()
-    coeffs = [parse_scalar(tower.top, c) for c in inner.split(",")] if inner else []
-    f = Polynomial(tower.top, coeffs)
+    tower, f = parse_tower_poly(args.element)
     member = contains(tower, f)
     obj = {"member": member}
     if not member:
@@ -243,8 +236,8 @@ def cmd_monoid_build(args):
         raise FormatError(f"expected RING:MONOID, got {args.domain!r}")
     ring = parse_ring(ring_part)
     monoid = parse_monoid(monoid_part)
-    primes = [int(x) for x in args.primes.split(",")]
-    exponents = [int(x) for x in args.exponents.split(",")]
+    primes = _parse_values(args.primes, ",")
+    exponents = _parse_values(args.exponents, ",")
     cert = build_irreducible(ring, monoid, primes, exponents)
     text = monoid_element_text(cert.element)
     return [text], {
@@ -371,14 +364,8 @@ def cmd_zone_decrypt(args):
 
 def _compcipher_key(args):
     if getattr(args, "key", None):
-        record = Path(args.key).read_text().strip()
-        parts = record.split()
-        if parts[:2] != ["composite-cipher", "v1"]:
-            raise FormatError("not a composite-cipher v1 key record")
-        fields = dict(part.split("=", 1) for part in parts[2:])
-        f = parse_cipher_polynomial(fields["F"])
-        g = parse_cipher_polynomial(fields["G"])
-        return f, g
+        fields = parse_key_record(Path(args.key).read_text(), "composite-cipher", ("F", "G"))
+        return parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
     if args.f is None or args.g is None:
         raise ParameterError("need --key or both --f and --g")
     return parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g)
@@ -387,7 +374,9 @@ def _compcipher_key(args):
 def cmd_compcipher_keygen(args):
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
-    record = f"composite-cipher v1 S={f.input_size} F={f.descriptor()} G={g.descriptor()}"
+    record = key_record_text(
+        "composite-cipher", {"S": f.input_size, "F": f.descriptor(), "G": g.descriptor()}
+    )
     _write_out(args, record)
     return [fg.descriptor()], {"fg": fg.descriptor(), "block": fg.block_length}
 
@@ -416,8 +405,7 @@ def _monoidcipher_key(args):
         return _mc.key_from_text(Path(args.key).read_text().strip())
     if args.p is None or args.x is None or args.a is None:
         raise ParameterError("need --key or all of --p/--x/--a")
-    coeffs = tuple(int(tok) for tok in args.a.split(","))
-    return _mc.MonoidCipherKey(args.p, args.x, coeffs)
+    return _mc.MonoidCipherKey(args.p, args.x, tuple(_parse_values(args.a, ",")))
 
 
 def cmd_monoidcipher_keygen(args):
@@ -854,6 +842,9 @@ def dispatch(argv: list[str]) -> int:
         lines, obj = args.func(args)
     except CompalgError as exc:
         print(f"ERR:{exc.code}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"ERR:io: {exc}", file=sys.stderr)
         return 1
     return _emit(args, lines, obj)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ciphers.composite_cipher import CipherPolynomial, composite_cipher_keygen
@@ -26,15 +26,6 @@ SECOND = "S"
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@dataclass
-class Party:
-    """One protocol participant; ``secret`` must never reach the transcript."""
-
-    name: str
-    secret: object = None
-    received: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -145,16 +136,12 @@ def run_dh(
             raise ParameterError("need secret_second or seed_second")
         secret_second = _draw_secret(seed_second, p)
 
-    first = Party(FIRST, secret=secret_first)
-    second = Party(SECOND, secret=secret_second)
     transcript = Transcript(
         "dh", [("P", repr(params.p)), ("G", repr(params.g))]
     )
-    ex = dh_exchange(params, first.secret, second.secret)
+    ex = dh_exchange(params, secret_first, secret_second)
     transcript.record(FIRST, SECOND, f"A={ex.public_first!r}")
-    second.received.append(ex.public_first)
     transcript.record(SECOND, FIRST, f"B={ex.public_second!r}")
-    first.received.append(ex.public_second)
     transcript.record_digest(FIRST, _digest(repr(ex.shared_first)))
     transcript.record_digest(SECOND, _digest(repr(ex.shared_second)))
     return DhRun(transcript, ex)
@@ -211,20 +198,17 @@ def run_composite_agreement(f: CipherPolynomial, g: CipherPolynomial) -> Agreeme
     transcript = Transcript(
         "composite-agreement", [("S", str(f.input_size))]
     )
-    first = Party(FIRST, secret=(f, g))
-    second = Party(SECOND, secret=(f, g))
     try:
-        key_first = composite_cipher_keygen(*first.secret)
-        key_second = composite_cipher_keygen(*second.secret)
+        # each party derives the key on its own
+        key_first = composite_cipher_keygen(f, g)
+        key_second = composite_cipher_keygen(f, g)
     except ParameterError as exc:
         transcript.record_error(str(exc))
         return AgreementRun(transcript, None, None)
     d1 = _digest(key_first.descriptor())
     d2 = _digest(key_second.descriptor())
     transcript.record(FIRST, SECOND, f"fg-digest={d1}")
-    second.received.append(d1)
     transcript.record(SECOND, FIRST, f"fg-digest={d2}")
-    first.received.append(d2)
     transcript.record_digest(FIRST, d1)
     transcript.record_digest(SECOND, d2)
     return AgreementRun(transcript, key_first, key_second)

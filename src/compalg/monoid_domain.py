@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     RingMismatchError,
 )
-from .rings import Integers, Ring, RingElement
+from .rings import Integers, Ring, RingElement, dense_divmod
 
 
 class NumericalMonoid:
@@ -317,15 +317,10 @@ def is_irreducible_by_search(
 
 
 def _to_dense(f: MonoidElement) -> list:
-    deg = f.max_exponent()
-    if isinstance(f.ring, Integers):
-        dense = [0] * (deg + 1)
-        for e, c in f.terms:
-            dense[e] = c.value
-    else:
-        dense = [f.ring.zero()] * (deg + 1)
-        for e, c in f.terms:
-            dense[e] = c
+    """Canonical coefficient values, exponent 0 first."""
+    dense = [f.ring.zero_value] * (f.max_exponent() + 1)
+    for e, c in f.terms:
+        dense[e] = c.value
     return dense
 
 
@@ -347,32 +342,38 @@ def _split_search(dense, monoid, dg, coeff_bound, ring, over_z) -> bool:
         ]
         boxes = [box0 if pos == 0 else box for pos in inner]
     else:
-        lead_choices = [e for e in ring.elements() if not e.is_zero()]
-        boxes = [list(ring.elements()) for _ in inner]
+        values = list(ring.element_values())
+        lead_choices = values[1:]
+        boxes = [values] * len(inner)
+    zero = ring.zero_value
 
     def assign(idx, g):
         if idx == len(inner):
             for lead in lead_choices:
                 g[dg] = lead
                 h = _exact_division(dense, g, ring, over_z)
-                if h is not None and _supported(h, monoid, ring, over_z):
+                if h is not None and _supported(h, monoid, zero):
                     return True
-            g[dg] = 0 if over_z else ring.zero()
+            g[dg] = zero
             return False
         pos = inner[idx]
         for c in boxes[idx]:
             g[pos] = c
             if assign(idx + 1, g):
                 return True
-        g[pos] = 0 if over_z else ring.zero()
+        g[pos] = zero
         return False
 
-    g0 = [0] * (dg + 1) if over_z else [ring.zero()] * (dg + 1)
-    return assign(0, g0)
+    return assign(0, [zero] * (dg + 1))
 
 
 def _exact_division(f_dense, g_dense, ring, over_z):
-    """f / g when the division is exact in the ring, else None."""
+    """f / g when the division is exact in the ring, else None.
+
+    Over Z the quotient must stay integral, so each step checks
+    divisibility and the loop exits at the first failure; over a field
+    this is plain long division by the dense kernel.
+    """
     if over_z:
         rem = list(f_dense)
         glead = g_dense[-1]
@@ -388,22 +389,9 @@ def _exact_division(f_dense, g_dense, ring, over_z):
                 for i, gi in enumerate(g_dense):
                     rem[shift + i] -= c * gi
         return q if not any(rem) else None
-    rem = list(f_dense)
-    glead_inv = g_dense[-1].inverse()
-    dh = len(rem) - len(g_dense)
-    q = [ring.zero()] * (dh + 1)
-    for shift in range(dh, -1, -1):
-        c = rem[shift + len(g_dense) - 1] * glead_inv
-        q[shift] = c
-        if not c.is_zero():
-            for i, gi in enumerate(g_dense):
-                rem[shift + i] = rem[shift + i] - c * gi
-    return q if all(x.is_zero() for x in rem) else None
+    q, rem = dense_divmod(ring, f_dense, g_dense)
+    return None if rem else q
 
 
-def _supported(h_dense, monoid, ring, over_z) -> bool:
-    for e, c in enumerate(h_dense):
-        nonzero = c != 0 if over_z else not c.is_zero()
-        if nonzero and not monoid.contains(e):
-            return False
-    return True
+def _supported(h_dense, monoid, zero) -> bool:
+    return all(c == zero or monoid.contains(e) for e, c in enumerate(h_dense))

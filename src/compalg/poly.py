@@ -1,20 +1,34 @@
 """Dense univariate polynomials over any ring descriptor.
 
-Provides the classical unit and nilpotency criteria (constant term a
-unit plus nilpotent higher coefficients), plus brute-force
-irreducibility, factorization and inverse search at desk scale.
-Factor order is canonical: ascending degree, then ascending
+A Polynomial keeps its coefficients twice: as canonical ring values,
+on which ``+ - * divmod`` and irreducibility run through the dense
+kernel in rings.py, and as the public RingElement tuple ``coeffs``,
+built once per result. Provides the classical unit and nilpotency
+criteria (constant term a unit plus nilpotent higher coefficients),
+plus brute-force irreducibility, factorization and inverse search at
+desk scale. Factor order is canonical: ascending degree, then ascending
 little-endian coefficient order, so outputs are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError, RingMismatchError
-from .rings import Ring, RingElement
+from .rings import (
+    Ring,
+    RingElement,
+    dense_add,
+    dense_divmod,
+    dense_eval,
+    dense_is_irreducible,
+    dense_mul,
+    dense_neg,
+    dense_trim,
+)
 
 #: hard cap for search_inverse, documented in the operation contract
 INVERSE_SEARCH_MAX_BOUND = 8
@@ -23,23 +37,32 @@ INVERSE_SEARCH_MAX_BOUND = 8
 class Polynomial:
     """Immutable dense polynomial; coeffs little-endian with no trailing zeros."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_values")
 
     def __init__(self, ring: Ring, coeffs: Sequence = ()):
-        elems = []
+        values = []
         for c in coeffs:
             if isinstance(c, RingElement):
                 if c.ring != ring:
                     raise RingMismatchError(
                         f"coefficient ring {c.ring.name()} != {ring.name()}"
                     )
-                elems.append(c)
+                values.append(c.value)
             else:
-                elems.append(ring.element(c))
-        while elems and elems[-1].is_zero():
-            elems.pop()
+                values.append(ring.canon(c))
+        self._set(ring, dense_trim(ring, values))
+
+    @classmethod
+    def _from_values(cls, ring: Ring, values) -> "Polynomial":
+        """Wrap canonical values that already have no trailing zeros."""
+        f = object.__new__(cls)
+        f._set(ring, values)
+        return f
+
+    def _set(self, ring: Ring, values):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(elems))
+        object.__setattr__(self, "_values", tuple(values))
+        object.__setattr__(self, "coeffs", tuple(RingElement(ring, v) for v in values))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -69,11 +92,11 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._values))
 
     def __repr__(self):
         return f"{self.ring.name()}:[{','.join(c.text() for c in self.coeffs)}]"
@@ -85,26 +108,18 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._from_values(self.ring, dense_add(self.ring, self._values, other._values))
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.ring, [-c for c in self.coeffs])
+        return self._from_values(self.ring, dense_neg(self.ring, self._values))
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.ring)
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.ring, out)
+        return self._from_values(self.ring, dense_mul(self.ring, self._values, other._values))
 
     def __pow__(self, e: int):
         out = Polynomial(self.ring, [self.ring.one()])
@@ -117,40 +132,25 @@ class Polynomial:
         return out
 
     def scale(self, c: RingElement) -> "Polynomial":
-        return Polynomial(self.ring, [c * a for a in self.coeffs])
+        return self * Polynomial(self.ring, [c])
 
     def shift(self, r: int) -> "Polynomial":
         """Multiply by X^r."""
         if self.is_zero():
             return self
-        return Polynomial(self.ring, [self.ring.zero()] * r + list(self.coeffs))
+        return self._from_values(self.ring, (self.ring.zero_value,) * r + self._values)
 
     def evaluate(self, x: RingElement) -> RingElement:
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation at x."""
+        if x.ring != self.ring:
+            raise RingMismatchError("evaluation point ring mismatch")
+        return RingElement(self.ring, dense_eval(self.ring, self._values, x.value))
 
     def __divmod__(self, other):
         """Long division; requires an invertible leading coefficient in the divisor."""
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = other.leading().inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(self.ring), self
-        q = [self.ring.zero()] * (dq + 1)
-        for shift in range(dq, -1, -1):
-            top = rem[shift + other.degree()]
-            if top.is_zero():
-                continue
-            c = top * inv_lead
-            q[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * b
-        return Polynomial(self.ring, q), Polynomial(self.ring, rem)
+        q, r = dense_divmod(self.ring, self._values, other._values)
+        return self._from_values(self.ring, q), self._from_values(self.ring, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -197,11 +197,7 @@ class Polynomial:
             )
         if self.degree() < 1:
             raise ParameterError("irreducibility is defined for degree >= 1")
-        for d in range(1, self.degree() // 2 + 1):
-            for g in monic_polynomials(self.ring, d):
-                if g.divides(self):
-                    return False
-        return True
+        return dense_is_irreducible(self.ring, self._values)
 
     def factor(self) -> "Factorization":
         """Complete factorization over a finite field by trial division."""
@@ -258,27 +254,19 @@ def all_polynomials(ring: Ring, max_degree: int) -> Iterator[Polynomial]:
     """Every polynomial of degree <= max_degree over a finite ring, canonical order."""
     if ring.size() is None:
         raise ParameterError(f"{ring.name()} is not finite")
-    elems = list(ring.elements())
+    values = list(ring.element_values())
     yield Polynomial(ring)
     for d in range(max_degree + 1):
-        stack = [[]]
-        for _ in range(d):
-            stack = [pre + [e] for pre in stack for e in elems]
-        for pre in stack:
-            for lead in elems[1:]:
-                yield Polynomial(ring, pre + [lead])
+        for coeffs in itertools.product(*[values] * d, values[1:]):
+            yield Polynomial._from_values(ring, coeffs)
 
 
 def monic_polynomials(ring: Ring, degree: int) -> Iterator[Polynomial]:
     """Monic polynomials of exactly the given degree, canonical order."""
     if ring.size() is None:
         raise ParameterError(f"{ring.name()} is not finite")
-    elems = list(ring.elements())
-    prefixes = [[]]
-    for _ in range(degree):
-        prefixes = [pre + [e] for pre in prefixes for e in elems]
-    for pre in prefixes:
-        yield Polynomial(ring, pre + [ring.one()])
+    for tail in itertools.product(ring.element_values(), repeat=degree):
+        yield Polynomial._from_values(ring, (*tail, ring.one_value))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Coefficient rings with exact arithmetic.
+"""Coefficient rings with exact arithmetic, and the dense polynomial
+kernel that runs over them.
 
 Four descriptor kinds cover everything the rest of the package needs:
 the integers Z, modular integers Z/n, prime fields Fp, and extension
@@ -7,16 +8,28 @@ Descriptors and elements are immutable; arithmetic never mutates, so
 values are safe to share freely.
 
 Canonical element values are plain ints (Z, Z/n, Fp) or little-endian
-int tuples of length k (extension fields).
+int tuples of length k (extension fields). A descriptor does all of its
+arithmetic on these values through four hooks (``add_values``,
+``mul_values``, ``neg_value``, ``inverse_value``); RingElement wraps a
+value for callers that want operators.
+
+The ``dense_*`` functions are the package's one implementation of
+polynomial multiplication, long division, extended Euclid, Horner
+evaluation and trial-division irreducibility. They take a descriptor
+and little-endian lists of its canonical values, and reach coefficients
+only through the hooks and the descriptor's ``zero_value``,
+``one_value`` and ``element_values``. So the same code serves
+ExtensionField (over its prime field), subfield embeddings, Polynomial
+(over any ring) and the field searches of monoid_domain.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .arith import factorize, is_prime
 from .errors import (
@@ -30,67 +43,97 @@ Value = Union[int, tuple]
 
 
 # ---------------------------------------------------------------------------
-# dense little-endian polynomial arithmetic over Fp, used internally by
-# extension fields (kept separate from poly.py to avoid an import cycle)
+# dense polynomial kernel: a dense polynomial is a little-endian list of
+# canonical values of one ring, without trailing zeros
 
 
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def dense_trim(ring: "Ring", a: list) -> list:
+    """Drop trailing zeros of a in place and return it."""
+    zero = ring.zero_value
+    while a and a[-1] == zero:
+        a.pop()
+    return a
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def dense_add(ring: "Ring", a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, bi in enumerate(b):
+        out[i] = ring.add_values(out[i], bi)
+    return dense_trim(ring, out)
+
+
+def dense_neg(ring: "Ring", a) -> list:
+    return [ring.neg_value(x) for x in a]
+
+
+def dense_mul(ring: "Ring", a, b) -> list:
+    """Schoolbook product; over Z/n zero divisors may shorten it."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    add, mul, zero = ring.add_values, ring.mul_values, ring.zero_value
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
+        if ai != zero:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return dense_trim(ring, out)
 
 
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def dense_eval(ring: "Ring", a, x: Value) -> Value:
+    """Horner evaluation of a at the canonical value x."""
+    acc = ring.zero_value
+    for c in reversed(a):
+        acc = ring.add_values(ring.mul_values(acc, x), c)
+    return acc
+
+
+def dense_divmod(ring: "Ring", a, b) -> tuple[list, list]:
+    """(q, r) with a = b*q + r and deg r < deg b.
+
+    The leading coefficient of b must be a unit of the ring; otherwise
+    its ``inverse_value`` raises NotAUnitError.
+    """
     if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [x % p for x in a]
-    _fp_trim(rem)
-    q = [0] * max(0, len(rem) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while len(rem) >= len(b):
-        coef = rem[-1] * inv_lead % p
-        shift = len(rem) - len(b)
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - coef * bi) % p
-        _fp_trim(rem)
-    return _fp_trim(q), rem
+        raise ZeroDivisionError("polynomial division by zero")
+    add, mul, zero = ring.add_values, ring.mul_values, ring.zero_value
+    inv_lead = ring.inverse_value(b[-1])
+    n = len(b) - 1
+    low = b[:n]
+    rem = list(a)
+    q = [zero] * max(0, len(rem) - n)
+    # each step reads rem[shift + n] once and would only zero it, so the
+    # update skips b's leading term; entries from degree n up end stale
+    for shift in range(len(rem) - len(b), -1, -1):
+        top = rem[shift + n]
+        if top != zero:
+            c = mul(top, inv_lead)
+            q[shift] = c
+            c = ring.neg_value(c)
+            for i, bi in enumerate(low):
+                rem[shift + i] = add(rem[shift + i], mul(c, bi))
+    return dense_trim(ring, q), dense_trim(ring, rem[:n])
 
 
-def _fp_ext_gcd(a: list[int], b: list[int], p: int):
-    """Extended Euclid over Fp[t]: returns (g, u, v) with u*a + v*b = g."""
+def dense_ext_gcd(ring: "Ring", a, b) -> tuple[list, list]:
+    """Extended Euclid over a field: (g, u) with g = gcd(a, b) and u*a = g mod b."""
     r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
+    u0, u1 = [ring.one_value], []
     while r1:
-        q, r = _fp_divmod(r0, r1, p)
+        q, r = dense_divmod(ring, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, _fp_trim([(x - y) % p for x, y in itertools.zip_longest(u0, _fp_mul(q, u1, p), fillvalue=0)])
-        v0, v1 = v1, _fp_trim([(x - y) % p for x, y in itertools.zip_longest(v0, _fp_mul(q, v1, p), fillvalue=0)])
-    return r0, u0, v0
+        u0, u1 = u1, dense_add(ring, u0, dense_neg(ring, dense_mul(ring, q, u1)))
+    return r0, u0
 
 
-def _fp_is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division by every monic divisor of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            _, rem = _fp_divmod(m, cand, p)
-            if not rem:
+def dense_is_irreducible(ring: "Ring", f) -> bool:
+    """Trial division of f (degree >= 1, over a finite field) by every
+    monic polynomial of degree 1 to deg(f)/2."""
+    values = list(ring.element_values())
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for tail in itertools.product(values, repeat=d):
+            if not dense_divmod(ring, f, [*tail, ring.one_value])[1]:
                 return False
     return True
 
@@ -129,10 +172,18 @@ class Ring:
         return RingElement(self, self.canon(value))
 
     def zero(self) -> "RingElement":
-        return self.element(0)
+        return RingElement(self, self.zero_value)
 
     def one(self) -> "RingElement":
-        return self.element(1)
+        return RingElement(self, self.one_value)
+
+    @cached_property
+    def zero_value(self) -> Value:
+        return self.canon(0)
+
+    @cached_property
+    def one_value(self) -> Value:
+        return self.canon(1)
 
     # subclass hooks -------------------------------------------------
     def canon(self, value) -> Value:
@@ -163,9 +214,13 @@ class Ring:
     def is_domain(self) -> bool:
         raise NotImplementedError
 
+    def element_values(self) -> Iterable[Value]:
+        """All canonical values in ascending order (finite rings only)."""
+        raise ParameterError(f"{self.name()} is not finite")
+
     def elements(self) -> Iterator["RingElement"]:
         """All elements in canonical ascending order (finite rings only)."""
-        raise ParameterError(f"{self.name()} is not finite")
+        return (RingElement(self, v) for v in self.element_values())
 
     def name(self) -> str:
         raise NotImplementedError
@@ -258,9 +313,8 @@ class IntegersMod(Ring):
     def is_domain(self):
         return is_prime(self.n)
 
-    def elements(self):
-        for v in range(self.n):
-            yield RingElement(self, v)
+    def element_values(self):
+        return range(self.n)
 
     def name(self):
         return f"Z/{self.n}"
@@ -314,9 +368,8 @@ class PrimeField(Ring):
     def is_domain(self):
         return True
 
-    def elements(self):
-        for v in range(self.p):
-            yield RingElement(self, v)
+    def element_values(self):
+        return range(self.p)
 
     def name(self):
         return f"F{self.p}"
@@ -336,17 +389,19 @@ class ExtensionField(Ring):
 
     p: int
     modulus: tuple[int, ...]  # little-endian, length k + 1, monic
+    base: PrimeField = field(init=False, repr=False, compare=False)  # Fp
     is_field = True
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ParameterError(f"extension field base {self.p} is not prime")
+        object.__setattr__(self, "base", PrimeField(self.p))
         m = list(self.modulus)
         if len(m) < 2 or m[-1] != 1:
             raise ParameterError("modulus must be monic of degree >= 1")
         if any(not (0 <= c < self.p) for c in m):
             raise ParameterError("modulus coefficients must be canonical in [0, p)")
-        if len(m) > 2 and not _fp_is_irreducible(m, self.p):
+        if len(m) > 2 and not dense_is_irreducible(self.base, m):
             raise ParameterError(
                 f"modulus {_fp_text(m)} is reducible over F{self.p}"
             )
@@ -356,24 +411,23 @@ class ExtensionField(Ring):
         return len(self.modulus) - 1
 
     def canon(self, value):
-        k = self.degree
         if isinstance(value, int):
-            vec = [value % self.p] + [0] * (k - 1)
-            return tuple(vec)
-        vec = [int(c) % self.p for c in value]
-        if len(vec) > k:
-            _, rem = _fp_divmod(vec, list(self.modulus), self.p)
-            vec = rem
-        vec += [0] * (k - len(vec))
-        return tuple(vec[:k])
+            value = (value,)
+        vec = dense_trim(self.base, [int(c) % self.p for c in value])
+        if len(vec) > self.degree:
+            vec = dense_divmod(self.base, vec, self.modulus)[1]
+        return self._vector(vec)
+
+    def _vector(self, dense: list) -> tuple[int, ...]:
+        """The canonical k-tuple of a dense Fp polynomial of degree < k."""
+        return tuple(dense) + (0,) * (self.degree - len(dense))
 
     def add_values(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul_values(self, a, b):
-        prod = _fp_mul(list(a), list(b), self.p)
-        _, rem = _fp_divmod(prod, list(self.modulus), self.p)
-        return self.canon(tuple(rem))
+        prod = dense_mul(self.base, a, b)
+        return self._vector(dense_divmod(self.base, prod, self.modulus)[1])
 
     def neg_value(self, a):
         return tuple((-x) % self.p for x in a)
@@ -384,10 +438,10 @@ class ExtensionField(Ring):
     def inverse_value(self, a):
         if not any(a):
             raise NotAUnitError(f"0 is not a unit of {self.name()}")
-        g, u, _ = _fp_ext_gcd(_fp_trim(list(a)), list(self.modulus), self.p)
+        g, u = dense_ext_gcd(self.base, dense_trim(self.base, list(a)), self.modulus)
         # g is a nonzero constant; scale u so that u*a == 1 mod modulus
-        scale = pow(g[0], -1, self.p)
-        return self.canon(tuple(c * scale % self.p for c in u))
+        scale = self.base.inverse_value(g[0])
+        return self._vector([self.base.mul_values(c, scale) for c in u])
 
     def is_nilpotent_value(self, a):
         return not any(a)
@@ -398,17 +452,9 @@ class ExtensionField(Ring):
     def is_domain(self):
         return True
 
-    def elements(self):
+    def element_values(self):
         # ascending by base-p value, constant coefficient least significant
-        for n in range(self.size()):
-            yield RingElement(self, self._vector_of(n))
-
-    def _vector_of(self, n: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.degree):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(digits)
+        return (v[::-1] for v in itertools.product(range(self.p), repeat=self.degree))
 
     def name(self):
         return f"F({self.size()})=F{self.p}[t]/({_fp_text(self.modulus)})"
@@ -427,14 +473,11 @@ def default_extension_field(p: int, k: int) -> ExtensionField:
     Candidates are enumerated ascending by base-p value of the non-leading
     coefficients, so the choice is deterministic, e.g. F(4) uses t^2+t+1.
     """
-    for n in range(p ** k):
-        tail, v = [], n
-        for _ in range(k):
-            tail.append(v % p)
-            v //= p
-        m = tail + [1]
-        if _fp_is_irreducible(m, p):
-            return ExtensionField(p, tuple(m))
+    base = PrimeField(p)
+    for digits in itertools.product(range(p), repeat=k):
+        m = (*digits[::-1], 1)
+        if dense_is_irreducible(base, m):
+            return ExtensionField(p, m)
     raise ParameterError(f"no irreducible of degree {k} over F{p}")  # pragma: no cover
 
 
@@ -485,7 +528,7 @@ class RingElement:
         return out
 
     def is_zero(self) -> bool:
-        return self == self.ring.zero()
+        return self.value == self.ring.zero_value
 
     def is_unit(self) -> bool:
         return self.ring.is_unit_value(self.value)
@@ -513,14 +556,10 @@ class RingElement:
 @lru_cache(maxsize=None)
 def _generator_image(sub: ExtensionField, sup: ExtensionField) -> tuple:
     """Image of sub's generator t in sup: the first root of sub.modulus."""
-    for cand in sup.elements():
-        acc = sup.zero()
-        power = sup.one()
-        for c in sub.modulus:
-            acc = acc + power * sup.element(c)
-            power = power * cand
-        if acc.is_zero():
-            return cand.value
+    modulus = [sup.canon(c) for c in sub.modulus]
+    for cand in sup.element_values():
+        if dense_eval(sup, modulus, cand) == sup.zero_value:
+            return cand
     raise EmbeddingError(
         f"{sub.name()} has no root of its modulus inside {sup.name()}"
     )  # pragma: no cover - guarded by the degree check
@@ -552,11 +591,6 @@ def embed(x: RingElement, target: Ring) -> RingElement:
     if isinstance(src, ExtensionField) and isinstance(target, ExtensionField):
         if src.p != target.p or target.degree % src.degree != 0:
             raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")
-        beta = target.element(_generator_image(src, target))
-        acc = target.zero()
-        power = target.one()
-        for c in x.value:
-            acc = acc + power * target.element(c)
-            power = power * beta
-        return acc
+        coeffs = [target.canon(c) for c in x.value]
+        return RingElement(target, dense_eval(target, coeffs, _generator_image(src, target)))
     raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")

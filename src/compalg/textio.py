@@ -10,6 +10,7 @@ Forms:
   monoids     M<2,3>
   monoid elts F5:M<2,3>:{2:1,3:4} (exponent:coefficient pairs)
   ideals      (15)
+  key records rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)
 
 Short field names like F4 pick the deterministic default modulus;
 explicit-modulus names round-trip losslessly.
@@ -160,14 +161,20 @@ def tower_text(tower: Tower) -> str:
     return "<".join(short_ring_name(r) for r in tower.levels + (tower.top,))
 
 
-def parse_composite(text: str) -> CompositeElement:
-    """TOWER:[coeffs], e.g. F2<F4:[1,t]."""
+def parse_tower_poly(text: str) -> tuple[Tower, Polynomial]:
+    """TOWER:[coeffs] as the tower and a polynomial over its top ring,
+    without checking that the polynomial is a member."""
     tower_part, sep, body = text.partition(":")
     if not sep or "<" not in tower_part:
         raise FormatError(f"expected TOWER:[coeffs], got {text!r}")
     tower = parse_tower(tower_part)
     coeffs = [parse_scalar(tower.top, c) for c in _split_bracket_list(body)]
-    return CompositeElement(tower, Polynomial(tower.top, coeffs))
+    return tower, Polynomial(tower.top, coeffs)
+
+
+def parse_composite(text: str) -> CompositeElement:
+    """TOWER:[coeffs], e.g. F2<F4:[1,t]."""
+    return CompositeElement(*parse_tower_poly(text))
 
 
 def composite_text(e: CompositeElement) -> str:
@@ -234,3 +241,28 @@ def parse_ideal(text: str) -> PrincipalIdeal:
 
 def ideal_text(i: PrincipalIdeal) -> str:
     return repr(i)
+
+
+KEY_RECORD_VERSION = "v1"
+
+
+def key_record_text(kind: str, fields: dict[str, object]) -> str:
+    """One line: the kind, the version, then NAME=VALUE fields in order."""
+    return " ".join([kind, KEY_RECORD_VERSION, *(f"{k}={v}" for k, v in fields.items())])
+
+
+def parse_key_record(text: str, kind: str, names: tuple[str, ...]) -> dict[str, str]:
+    """The fields of a key record of the given kind; each of names must occur."""
+    parts = text.split()
+    if parts[:2] != [kind, KEY_RECORD_VERSION]:
+        raise FormatError(f"not a {kind} {KEY_RECORD_VERSION} key record")
+    fields = {}
+    for part in parts[2:]:
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise FormatError(f"{kind} key record field {part!r} has no '='")
+        fields[name] = value
+    missing = [name for name in names if name not in fields]
+    if missing:
+        raise FormatError(f"{kind} key record is missing {', '.join(missing)}")
+    return fields

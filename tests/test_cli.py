@@ -197,5 +197,49 @@ def test_exchange_compcipher_mode(tmp_path):
     assert (code, out) == (0, "replay ok\n")
 
 
+def _assert_clean_error(code, out, err, prefix):
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group,record",
+    [
+        ("rsa", "rsa-ideal v1 N=(33) E D=(7) PHI=(20)"),
+        ("monoidcipher", "monoid-cipher v1 P=29 X=2 A"),
+        ("compcipher", "composite-cipher v1 S=26"),
+    ],
+    ids=["rsa", "monoidcipher", "compcipher"],
+)
+def test_malformed_key_record_is_a_format_error(tmp_path, group, record):
+    key_path = tmp_path / "key.txt"
+    key_path.write_text(record + "\n")
+    code, out, err = run_cli([group, "encrypt", "--key", str(key_path), "--values", "1"])
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+def test_non_integer_list_is_a_format_error():
+    code, out, err = run_cli(
+        ["monoid", "build", "Z:M<2,3>", "--primes", "x", "--exponents", "2,3"]
+    )
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+def test_missing_key_file_is_an_io_error(tmp_path):
+    missing = str(tmp_path / "absent.txt")
+    code, out, err = run_cli(["rsa", "encrypt", "--key", missing, "--values", "1"])
+    _assert_clean_error(code, out, err, "ERR:io: ")
+
+
+@pytest.mark.parametrize(
+    "element,expected",
+    [("F2<F4:[1,t]", "member=true unit=false eval0=1\n"), ("F2<F4:[t,1]", "member=false\n")],
+)
+def test_composite_check_membership(element, expected):
+    code, out, _ = run_cli(["composite", "check", element])
+    assert (code, out) == (0, expected)
+
+
 def test_parser_builds_cleanly():
     assert build_parser() is not None

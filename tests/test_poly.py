@@ -7,6 +7,7 @@ import pytest
 from compalg import (
     Integers,
     IntegersMod,
+    NotAUnitError,
     ParameterError,
     Polynomial,
     PrimeField,
@@ -180,3 +181,28 @@ def test_divmod_over_field():
     q, r = divmod(f, g)
     assert g * q + r == f
     assert r.degree() < g.degree()
+
+
+DIVMOD_RINGS = [Integers(), Z4, IntegersMod(9), F5, F4, default_extension_field(3, 2)]
+
+
+@pytest.mark.parametrize("ring", DIVMOD_RINGS, ids=lambda r: r.name())
+def test_divmod_by_unit_leading_coefficient(ring):
+    rng = random.Random(11)
+    if ring.size() is None:
+        units = [ring.element(1), ring.element(-1)]
+    else:
+        units = [x for x in ring.elements() if x.is_unit()]
+    for _ in range(100):
+        f = _random_nonzero(ring, rng.randrange(0, 6), rng)
+        g = _random_nonzero(ring, rng.randrange(0, 4), rng)
+        g = Polynomial(ring, list(g.coeffs[:-1]) + [rng.choice(units)])
+        q, r = divmod(f, g)
+        assert g * q + r == f
+        assert r.degree() < g.degree()
+
+
+@pytest.mark.parametrize("ring", [Integers(), Z6], ids=lambda r: r.name())
+def test_divmod_rejects_non_unit_leading_coefficient(ring):
+    with pytest.raises(NotAUnitError):
+        divmod(Polynomial(ring, [1, 0, 1]), Polynomial(ring, [1, 2]))

@@ -125,6 +125,8 @@ def test_is_unit_matches_exhaustive_inverse_search(ring):
     for x in elems:
         found = any((x * y) == ring.one() for y in elems)
         assert x.is_unit() == found, x
+        if found:
+            assert x * x.inverse() == ring.one(), x
 
 
 @pytest.mark.parametrize("ring", RINGS_UNDER_TEST, ids=lambda r: r.name())
