@@ -3,7 +3,8 @@
 Letters are exponents: d_i = a_i * X^(m_i) mod p with a secret base X
 and public per-position coefficients a_i. X is required to be a
 primitive root mod p so that every d_i * a_i^(-1) has a logarithm.
-Decryption runs baby-step giant-step; an exhaustive log is kept
+Decryption runs baby-step giant-step, building the baby-step table once
+per (base, p) rather than once per letter; an exhaustive log is kept
 alongside as the verification oracle.
 """
 
@@ -11,12 +12,31 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
 from ..arith import is_prime, is_primitive_root
 from ..errors import FormatError, ParameterError
 from ..textio import key_record_text, parse_key_record
+
+
+# A table holds isqrt(p-1)+1 entries, so the bound keeps a long-lived
+# process from holding one per prime it ever saw.
+@lru_cache(maxsize=16)
+def _baby_steps(base: int, p: int) -> tuple[dict[int, int], int, int]:
+    """Baby-step table {base^j: j} for j < m, with m = isqrt(p-1)+1 and the
+    giant stride base^(-m) mod p; built once per (base mod p, p).
+
+    Callers share the returned dict and must not mutate it.
+    """
+    m = isqrt(p - 1) + 1
+    baby = {}
+    cur = 1
+    for j in range(m):
+        baby.setdefault(cur, j)
+        cur = cur * base % p
+    return baby, m, pow(pow(base, m, p), -1, p)
 
 
 def discrete_log_bsgs(base: int, target: int, p: int) -> int:
@@ -27,13 +47,7 @@ def discrete_log_bsgs(base: int, target: int, p: int) -> int:
         raise ParameterError("discrete log of 0 does not exist")
     if p == 2:
         return 0
-    m = isqrt(p - 1) + 1
-    baby = {}
-    cur = 1
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * base % p
-    giant = pow(pow(base, m, p), -1, p)
+    baby, m, giant = _baby_steps(base, p)
     cur = target
     for i in range(m + 1):
         if cur in baby:
@@ -108,16 +122,16 @@ def monoid_encrypt(values: Iterable[int], key: MonoidCipherKey) -> list[int]:
 
 
 def monoid_decrypt(values: Iterable[int], key: MonoidCipherKey) -> list[int]:
-    """m_i = log_X(d_i * a_i^(-1)) mod (p-1), via baby-step giant-step."""
+    """m_i = log_X(d_i * a_i^(-1)) mod (p-1); ciphertext must lie in [1, p-1]."""
     p, x = key.alphabet_size, key.base
-    coeffs = key.coefficients
+    inverses = [pow(a, -1, p) for a in key.coefficients]
     out = []
     for i, d in enumerate(values):
-        a = coeffs[i % len(coeffs)]
-        y = d * pow(a, -1, p) % p
-        if y == 0:
-            raise ParameterError(f"ciphertext value {d} at position {i} decodes to 0")
-        out.append(discrete_log_bsgs(x, y, p))
+        if not 1 <= d <= p - 1:
+            raise ParameterError(
+                f"ciphertext value {d} at position {i} is outside [1, {p - 1}]"
+            )
+        out.append(discrete_log_bsgs(x, d * inverses[i % len(inverses)] % p, p))
     return out
 
 

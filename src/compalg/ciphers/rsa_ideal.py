@@ -64,10 +64,20 @@ def rsa_encrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:
 
 
 def rsa_decrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:
-    """M_i = C_i * d mod phi, exact because e*d = 1 mod phi."""
+    """M_i = C_i * d mod phi, exact because e*d = 1 mod phi.
+
+    Every C_i must lie in [0, phi), the range rsa_encrypt produces.
+    """
     phi = key.phi.generator
     d = key.d.generator
-    return [c * d % phi for c in values]
+    out = []
+    for i, c in enumerate(values):
+        if not 0 <= c < phi:
+            raise ParameterError(
+                f"ciphertext value {c} at position {i} is outside [0, {phi})"
+            )
+        out.append(c * d % phi)
+    return out
 
 
 # key file form: rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, gcd
 from typing import Iterable, Optional
 
 from ..arith import is_prime
-from ..errors import ParameterError
+from ..errors import FormatError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,18 @@ class ZoneKey:
     def zone_count(self) -> int:
         return ceil(self.alphabet_size / self.sub_size)
 
-    def _zone_labels(self) -> list[int]:
+    @cached_property
+    def _labels(self) -> tuple[int, ...]:
+        """Transmitted label of each zone index, shuffled once per key."""
         labels = list(range(self.zone_count))
         if self.zone_seed is not None:
             random.Random(self.zone_seed).shuffle(labels)
-        return labels
+        return tuple(labels)
+
+    @cached_property
+    def _zone_of_label(self) -> dict[int, int]:
+        """Inverse of ``_labels``: zone index of each transmitted label."""
+        return {z: t for t, z in enumerate(self._labels)}
 
 
 def zone_encrypt_letter(v: int, key: ZoneKey) -> tuple[int, int]:
@@ -63,15 +71,14 @@ def zone_encrypt_letter(v: int, key: ZoneKey) -> tuple[int, int]:
     t = (v + q - 1) // q - 1
     r = v - t * q  # in [1, q]
     d = r * k % q
-    return key._zone_labels()[t], q if d == 0 else d
+    return key._labels[t], q if d == 0 else d
 
 
 def zone_decrypt_pair(z: int, d: int, key: ZoneKey) -> int:
     p, q, k = key.alphabet_size, key.sub_size, key.k
-    labels = key._zone_labels()
-    if z not in labels:
+    t = key._zone_of_label.get(z)
+    if t is None:
         raise ParameterError(f"zone label {z} is outside [0, {key.zone_count})")
-    t = labels.index(z)
     if not 1 <= d <= q:
         raise ParameterError(f"digit {d} is outside [1, {q}]")
     r = d % q * pow(k, -1, q) % q
@@ -100,5 +107,8 @@ def pairs_from_text(text: str) -> list[tuple[int, int]]:
         t, sep, d = token.partition(":")
         if not sep:
             raise ParameterError(f"expected zone:digit, got {token!r}")
-        out.append((int(t), int(d)))
+        try:
+            out.append((int(t), int(d)))
+        except ValueError:
+            raise FormatError(f"zone:digit halves must be integers, got {token!r}") from None
     return out

@@ -71,6 +71,14 @@ def test_rsa_rejects_out_of_range_message():
         rsa_encrypt([20], key)
 
 
+def test_rsa_rejects_out_of_range_ciphertext():
+    key = rsa_keygen(ideal(3), ideal(11), ideal(3))  # phi = 20
+    assert rsa_decrypt([0, 19], key) == [0, 19 * 7 % 20]
+    for bad in (-5, 20, 1000):
+        with pytest.raises(ParameterError, match=rf"{bad} at position 1 is outside \[0, 20\)"):
+            rsa_decrypt([6, bad], key)
+
+
 def test_rsa_full_domain_and_random_keys():
     rng = random.Random(11)
     for _ in range(50):
@@ -221,6 +229,38 @@ def test_zone_masked_labels_round_trip():
     assert clear_zones != masked_zones  # seed 11 actually permutes
 
 
+def test_zone_keys_differing_only_in_seed_interleave():
+    keys = [ZoneKey(97, 7, 3, zone_seed=seed) for seed in (None, 1, 2, 11, 12345)]
+    for value in range(1, 98):
+        for key in keys:
+            assert zone_decrypt(zone_encrypt([value], key), key) == [value]
+    # one letter per zone: every seed gives its own labelling
+    labellings = {tuple(z for z, _ in zone_encrypt(range(1, 98, 7), key)) for key in keys}
+    assert len(labellings) == len(keys)
+
+
+def test_zone_seeded_key_rejects_labels_outside_range():
+    key = ZoneKey(29, 5, 3, zone_seed=11)
+    for label in (-1, key.zone_count):
+        with pytest.raises(ParameterError, match=rf"zone label {label} is outside"):
+            zone_decrypt([(label, 1)], key)
+
+
+def test_zone_key_shuffles_once(monkeypatch):
+    shuffles = []
+    shuffle = random.Random.shuffle
+
+    def counting_shuffle(self, x):
+        shuffles.append(1)
+        shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+    key = ZoneKey(10007, 7, 3, zone_seed=5)
+    values = random.Random(21).sample(range(1, 10008), 50)
+    assert zone_decrypt(zone_encrypt(values, key), key) == values
+    assert len(shuffles) == 1
+
+
 # --- composite-keyed block cipher ------------------------------------------------------
 
 
@@ -320,6 +360,41 @@ def test_bsgs_matches_exhaustive_on_small_primes():
         g = smallest_primitive_root(p)
         for target in range(1, p):
             assert discrete_log_bsgs(g, target, p) == discrete_log_exhaustive(g, target, p)
+
+
+def test_bsgs_interleaved_over_primes_and_bases():
+    from compalg.arith import is_primitive_root
+
+    primes = (5, 7, 29, 97, 101)
+    bases = {p: [g for g in range(2, p) if is_primitive_root(g, p)][:3] for p in primes}
+    bases[29] += [2 + 29, 2 + 2 * 29]  # >= p and equal to 2 mod 29
+    rng = random.Random(18)
+    for _ in range(2000):
+        p = rng.choice(primes)
+        g = rng.choice(bases[p])
+        target = rng.randrange(1, p)
+        assert discrete_log_bsgs(g, target, p) == discrete_log_exhaustive(g, target, p), (g, target, p)
+
+
+def test_monoid_decrypt_builds_one_baby_step_table_per_key():
+    from compalg.ciphers.monoid_cipher import _baby_steps
+
+    rng = random.Random(19)
+    key = monoid_keygen(1000003, rng, 8)
+    msgs = [rng.randrange(key.alphabet_size - 1) for _ in range(50)]
+    cipher = monoid_encrypt(msgs, key)
+    _baby_steps.cache_clear()
+    assert monoid_decrypt(cipher, key) == msgs
+    info = _baby_steps.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
+def test_monoid_decrypt_rejects_out_of_range_ciphertext():
+    key = MonoidCipherKey(29, 2, (3, 5))
+    assert monoid_decrypt([3, 5 * 2 % 29], key) == [0, 1]
+    for bad in (-5, 0, 29, 1000):
+        with pytest.raises(ParameterError, match=rf"{bad} at position 1 is outside \[1, 28\]"):
+            monoid_decrypt([7, bad], key)
 
 
 def test_dlog_of_zero_is_an_error():

@@ -233,6 +233,27 @@ def test_missing_key_file_is_an_io_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["monoidcipher", "decrypt", "--p", "29", "--x", "2", "--a", "3", "--values", "-5"],
+        ["monoidcipher", "decrypt", "--p", "29", "--x", "2", "--a", "3", "--values", "1000"],
+        ["rsa", "decrypt", "--p", "5", "--q", "7", "--e", "5", "--values", "-5"],
+        ["rsa", "decrypt", "--p", "5", "--q", "7", "--e", "5", "--values", "24"],
+    ],
+    ids=["monoidcipher-negative", "monoidcipher-large", "rsa-negative", "rsa-phi"],
+)
+def test_out_of_range_ciphertext_is_a_parameter_error(argv):
+    code, out, err = run_cli(argv)
+    _assert_clean_error(code, out, err, "ERR:parameter: ")
+    assert "at position 0 is outside" in err
+
+
+def test_non_integer_zone_pair_is_a_format_error():
+    code, out, err = run_cli(["zone", "decrypt", "--p", "29", "--q", "5", "--k", "3", "--pairs", "a:b"])
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+@pytest.mark.parametrize(
     "element,expected",
     [("F2<F4:[1,t]", "member=true unit=false eval0=1\n"), ("F2<F4:[t,1]", "member=false\n")],
 )
