@@ -301,13 +301,20 @@ def _split_top_level(text: str, sep: str) -> list[str]:
 
 
 def parse_cipher(text: str) -> LetterCipher:
+    try:
+        return _parse_cipher(text)
+    except RecursionError:
+        raise FormatError("descriptor nested too deeply") from None
+
+
+def _parse_cipher(text: str) -> LetterCipher:
     text = text.strip()
     for name, builder in (("prod", cipher_product), ("sum", cipher_sum)):
         if text.startswith(name + "(") and text.endswith(")"):
             args = _split_top_level(text[len(name) + 1 : -1], ",")
             if len(args) != 2:
                 raise FormatError(f"{name} takes two systems, got {text!r}")
-            return builder(parse_cipher(args[0]), parse_cipher(args[1]))
+            return builder(_parse_cipher(args[0]), _parse_cipher(args[1]))
     if text.startswith("aff(") and text.endswith(")"):
         args = _split_top_level(text[4:-1], ",")
         try:

@@ -106,7 +106,7 @@ def pairs_from_text(text: str) -> list[tuple[int, int]]:
     for token in text.split():
         t, sep, d = token.partition(":")
         if not sep:
-            raise ParameterError(f"expected zone:digit, got {token!r}")
+            raise FormatError(f"expected zone:digit, got {token!r}")
         try:
             out.append((int(t), int(d)))
         except ValueError:

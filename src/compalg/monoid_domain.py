@@ -1,11 +1,15 @@
 """Monoid domains B[M] over numerical monoids M.
 
-M is a finitely generated submonoid of the nonnegative integers, so
-membership is decidable by coin-problem dynamic programming. Elements
-are sparse exponent -> coefficient maps; every exponent must be a
-member of M. The module also builds the certified irreducible elements
-of the shape p(r-1)*X^m(r) - ... - p1*X^m2 - X^m1 and verifies them with
-a brute-force factorization search.
+M is a finitely generated submonoid of the nonnegative integers.
+Membership is answered from the Apery set of the smallest generator g1:
+for each residue r mod g1, the least member congruent to r (none when
+the generators' gcd rules the residue out). m is a member iff it is at
+least that least member of its residue class, so after one O(k*g1)
+build (Bocker & Liptak's round robin) every query is O(1), whatever
+the size of m. Elements are sparse exponent -> coefficient maps; every
+exponent must be a member of M. The module also builds the certified
+irreducible elements of the shape p(r-1)*X^m(r) - ... - p1*X^m2 - X^m1
+and verifies them with a brute-force factorization search.
 
 Restricting to numerical monoids is what keeps everything decidable;
 it also grants the construction's standing hypotheses for free (the
@@ -34,14 +38,14 @@ from .rings import Integers, Ring, RingElement, dense_divmod
 class NumericalMonoid:
     """Submonoid of (N0, +) generated by finitely many positive integers."""
 
-    __slots__ = ("generators", "_table")
+    __slots__ = ("generators", "_apery")
 
     def __init__(self, generators: Iterable[int]):
         gens = sorted(set(int(g) for g in generators))
         if not gens or gens[0] <= 0:
             raise ParameterError("generators must be positive integers")
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_table", [True])  # membership DP, index 0
+        object.__setattr__(self, "_apery", None)  # built by the first m >= g1
 
     def __setattr__(self, *_):
         raise AttributeError("NumericalMonoid is immutable")
@@ -59,11 +63,13 @@ class NumericalMonoid:
         """Is m a nonnegative integer combination of the generators?"""
         if m < 0:
             raise ParameterError(f"monoid membership is defined for m >= 0, got {m}")
-        table = self._table
-        while len(table) <= m:
-            i = len(table)
-            table.append(any(i >= g and table[i - g] for g in self.generators))
-        return table[m]
+        g1 = self.generators[0]
+        if m < g1:
+            return m == 0
+        if self._apery is None:
+            object.__setattr__(self, "_apery", _apery_set(self.generators))
+        least = self._apery[m % g1]
+        return least is not None and least <= m
 
     def __contains__(self, m: int) -> bool:
         return self.contains(m)
@@ -72,16 +78,46 @@ class NumericalMonoid:
         return [m for m in range(bound + 1) if self.contains(m)]
 
     def is_atom(self, m: int) -> bool:
-        """m is a member with no decomposition into two nonzero members."""
+        """m is a member with no decomposition into two nonzero members.
+
+        Any split m = a + b into nonzero members peels a generator g off
+        a, leaving m - g = (a - g) + b in M; so it suffices to try the
+        generators below m.
+        """
         if m <= 0 or not self.contains(m):
             return False
-        return not any(
-            self.contains(a) and self.contains(m - a) for a in range(1, m) if m - a > 0
-        )
+        return not any(self.contains(m - g) for g in self.generators if g < m)
 
     def in_shifted(self, m: int, base: int) -> bool:
         """Is m in base + M?"""
         return m >= base and self.contains(m - base)
+
+
+def _apery_set(gens: tuple[int, ...]) -> list[Optional[int]]:
+    """Least member of <gens> in each residue class mod gens[0], or None.
+
+    Round robin (Bocker & Liptak, Algorithmica 48, 2007): each further
+    generator a splits the residues into gcd(g1, a) cycles r -> r + a;
+    walking once around a cycle from its least entry relaxes every
+    residue on it. O(k*g1) time, O(g1) memory.
+    """
+    g1 = gens[0]
+    least: list[Optional[int]] = [0] + [None] * (g1 - 1)
+    for a in gens[1:]:
+        d = gcd(g1, a)
+        for start in range(d):
+            reached = [w for w in least[start::d] if w is not None]
+            if not reached:
+                continue
+            n = min(reached)
+            for _ in range(g1 // d - 1):
+                n += a
+                r = n % g1
+                if least[r] is not None and least[r] < n:
+                    n = least[r]
+                else:
+                    least[r] = n
+    return least
 
 
 class MonoidElement:

@@ -253,6 +253,23 @@ def test_non_integer_zone_pair_is_a_format_error():
     _assert_clean_error(code, out, err, "ERR:format: ")
 
 
+@pytest.mark.parametrize("pairs", ["5", "1:1 7"])
+def test_zone_pair_without_colon_is_a_format_error(pairs):
+    code, out, err = run_cli(["zone", "decrypt", "--p", "29", "--q", "5", "--k", "3", "--pairs", pairs])
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+def test_deeply_nested_cipher_descriptor_is_a_format_error():
+    desc = "aff(1,0,26)"
+    for _ in range(2000):
+        desc = f"prod({desc},aff(1,0,26))"
+    code, out, err = run_cli(
+        ["compcipher", "encrypt", "--f", f"poly[{desc}]", "--g", "poly[aff(1,0,26)]", "--text", "AB"]
+    )
+    _assert_clean_error(code, out, err, "ERR:format: ")
+    assert "nested too deeply" in err
+
+
 @pytest.mark.parametrize(
     "element,expected",
     [("F2<F4:[1,t]", "member=true unit=false eval0=1\n"), ("F2<F4:[t,1]", "member=false\n")],

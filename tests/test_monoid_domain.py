@@ -1,10 +1,17 @@
 """Numerical monoids, monoid-domain elements, the certified irreducible
 construction and its brute-force verification."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compalg import monoid_domain
 from compalg import (
     CeilingError,
     Integers,
@@ -48,6 +55,93 @@ def test_atoms_are_the_minimal_generators():
 def test_redundant_generator_is_not_an_atom():
     m = NumericalMonoid([2, 3, 4])
     assert not m.is_atom(4)
+
+
+def dp_members(gens, bound):
+    """Coin-problem table: table[m] says whether m is in <gens>."""
+    table = [True] + [False] * bound
+    for m in range(1, bound + 1):
+        table[m] = any(m >= g and table[m - g] for g in gens)
+    return table
+
+
+def random_generator_sets(seed, count):
+    """Sizes 1-4, values 1-25: gcd > 1 and duplicates both occur."""
+    rng = random.Random(seed)
+    return [[rng.randint(1, 25) for _ in range(rng.randint(1, 4))] for _ in range(count)]
+
+
+FIXED_GENERATOR_SETS = [[1], [4, 6], [7], [5, 5, 8], [6, 10, 15], [2, 3]]
+
+
+def test_contains_matches_dynamic_programming():
+    for gens in FIXED_GENERATOR_SETS + random_generator_sets(11, 300):
+        table = dp_members(gens, 200)
+        monoid = NumericalMonoid(gens)
+        assert [monoid.contains(m) for m in range(201)] == table, gens
+
+
+def test_is_atom_matches_pairwise_definition():
+    for gens in FIXED_GENERATOR_SETS + random_generator_sets(12, 250):
+        table = dp_members(gens, 80)
+        monoid = NumericalMonoid(gens)
+        for m in range(81):
+            pairwise = m > 0 and table[m] and not any(
+                table[a] and table[m - a] for a in range(1, m)
+            )
+            assert monoid.is_atom(m) == pairwise, (gens, m)
+
+
+def test_membership_at_huge_exponents():
+    assert NumericalMonoid([2, 3]).contains(10**12)
+    # <a, b> with coprime a, b: m is a member iff the least x >= 0 with
+    # a*x = m (mod b) has a*x <= m
+    a, b, m = 601, 607, 450_000
+    x = m * pow(a, -1, b) % b
+    assert NumericalMonoid([a, b]).contains(m) == (a * x <= m)
+    frobenius = a * b - a - b
+    assert not NumericalMonoid([a, b]).contains(frobenius)
+    assert NumericalMonoid([a, b]).contains(frobenius + 1)
+
+
+@pytest.fixture
+def apery_builds(monkeypatch):
+    """Record the generators of every Apery-set build."""
+    builds = []
+    build = monoid_domain._apery_set
+
+    def counting(gens):
+        builds.append(gens)
+        return build(gens)
+
+    monkeypatch.setattr(monoid_domain, "_apery_set", counting)
+    return builds
+
+
+def test_queries_below_the_smallest_generator_build_nothing(apery_builds):
+    monoid = NumericalMonoid([10**9])
+    assert not monoid.contains(5)
+    assert monoid.contains(0)
+    assert apery_builds == []
+
+
+def test_apery_set_is_built_once_per_monoid(apery_builds):
+    monoid = NumericalMonoid([601, 607])
+    for m in range(10**6, 10**6 + 5000, 7):
+        monoid.contains(m)
+    assert monoid.contains(10**15)
+    assert apery_builds == [(601, 607)]
+
+
+def test_cli_answers_a_huge_exponent_quickly():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg.cli", "monoid", "contains", "M<2,3>", "100000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (0, "true\n"), done.stderr
 
 
 # --- elements -------------------------------------------------------------
