@@ -284,51 +284,63 @@ def random_affine_polynomial(
 
 # ---------------------------------------------------------------------------
 # descriptor grammar: aff(a,b,s) | prod(D,D) | sum(D,D); poly[D0,D1,...]
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
+#
+# Recursive descent over one cursor, one stack frame per nesting level:
+# parsing time is linear in the length of the descriptor.
 
 
 def parse_cipher(text: str) -> LetterCipher:
     try:
-        return _parse_cipher(text)
+        cipher, pos = _parse_system(text, 0)
     except RecursionError:
         raise FormatError("descriptor nested too deeply") from None
-
-
-def _parse_cipher(text: str) -> LetterCipher:
-    text = text.strip()
-    for name, builder in (("prod", cipher_product), ("sum", cipher_sum)):
-        if text.startswith(name + "(") and text.endswith(")"):
-            args = _split_top_level(text[len(name) + 1 : -1], ",")
-            if len(args) != 2:
-                raise FormatError(f"{name} takes two systems, got {text!r}")
-            return builder(_parse_cipher(args[0]), _parse_cipher(args[1]))
-    if text.startswith("aff(") and text.endswith(")"):
-        args = _split_top_level(text[4:-1], ",")
-        try:
-            a, b, s = (int(x) for x in args)
-        except ValueError:
-            raise FormatError(f"bad affine descriptor {text!r}") from None
-        return AffineCipher(a, b, s)
-    raise FormatError(f"unrecognized cipher descriptor {text!r}")
+    if pos != len(text):
+        raise FormatError(f"unexpected {text[pos:]!r} after cipher descriptor")
+    return cipher
 
 
 def parse_cipher_polynomial(text: str) -> CipherPolynomial:
     text = text.strip()
     if not (text.startswith("poly[") and text.endswith("]")):
         raise FormatError(f"expected poly[...], got {text!r}")
-    return CipherPolynomial(
-        [parse_cipher(part) for part in _split_top_level(text[5:-1], ",")]
-    )
+    coeffs, pos = [], 5
+    try:
+        while True:
+            cipher, pos = _parse_system(text, pos)
+            coeffs.append(cipher)
+            if text[pos : pos + 1] != ",":
+                break
+            pos += 1
+    except RecursionError:
+        raise FormatError("descriptor nested too deeply") from None
+    if pos != len(text) - 1:  # the closing "]"
+        raise FormatError(f"unexpected {text[pos:-1]!r} in cipher polynomial")
+    return CipherPolynomial(coeffs)
+
+
+def _parse_system(text: str, pos: int) -> tuple[LetterCipher, int]:
+    """The system starting at text[pos] after blanks, and the index past
+    it and the blanks that follow."""
+    start = pos = _skip_blanks(text, pos)
+    for name, builder in (("prod", cipher_product), ("sum", cipher_sum)):
+        if text.startswith(name + "(", pos):
+            first, pos = _parse_system(text, pos + len(name) + 1)
+            if text[pos : pos + 1] == ",":
+                second, pos = _parse_system(text, pos + 1)
+                if text[pos : pos + 1] == ")":
+                    return builder(first, second), _skip_blanks(text, pos + 1)
+            raise FormatError(f"{name} takes two systems, got {text[start:]!r}")
+    if text.startswith("aff(", pos):
+        try:
+            end = text.index(")", pos)
+            a, b, s = (int(x) for x in text[pos + 4 : end].split(","))
+        except ValueError:
+            raise FormatError(f"bad affine descriptor {text[start:]!r}") from None
+        return AffineCipher(a, b, s), _skip_blanks(text, end + 1)
+    raise FormatError(f"unrecognized cipher descriptor {text[start:]!r}")
+
+
+def _skip_blanks(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos

@@ -26,6 +26,7 @@ from .composite import (
 from .errors import CompalgError, FormatError, ParameterError
 from .ideals import PrincipalIdeal, inverse_ideal, totient_ideal
 from .keyexchange import (
+    parse_transcript_params,
     replay_composite_agreement,
     replay_dh,
     run_composite_agreement,
@@ -217,10 +218,7 @@ def cmd_composite_chain(args):
 
 
 def cmd_monoid_contains(args):
-    monoid = parse_monoid(args.monoid)
-    if args.m < 0:
-        raise ParameterError("membership is defined for m >= 0")
-    result = monoid.contains(args.m)
+    result = parse_monoid(args.monoid).contains(args.m)
     return [_bool(result)], {"member": result}
 
 
@@ -466,7 +464,7 @@ def cmd_exchange_run(args):
 
 def cmd_exchange_replay(args):
     text = Path(args.file).read_text()
-    protocol = text.splitlines()[0].split(" ", 2)[2] if text.startswith("exchange v1 ") else ""
+    protocol, _ = parse_transcript_params(text)
     if protocol == "dh":
         ok = replay_dh(
             text,
@@ -482,7 +480,7 @@ def cmd_exchange_replay(args):
             text, parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g_poly)
         )
     else:
-        raise FormatError("unrecognized transcript file")
+        raise FormatError(f"unrecognized transcript protocol {protocol!r}")
     if not ok:
         raise ParameterError("transcript does not replay identically")
     return ["replay ok"], {"replay": "ok"}

@@ -17,12 +17,13 @@ the operations fall back to an exhaustive bounded divisor search.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import CeilingError, MembershipError, ParameterError
 from .poly import Polynomial
-from .rings import Ring, RingElement, embed, has_embedding
+from .rings import Ring, RingElement, dense_divmod, embed, has_embedding
 
 #: size ceilings for the exhaustive searches (oracle, chains, deep towers)
 SEARCH_MAX_FIELD_SIZE = 9
@@ -32,7 +33,7 @@ SEARCH_MAX_DEGREE = 4
 class Tower:
     """Descriptor for A0 < ... < A(n-1) < B with declared embeddings."""
 
-    __slots__ = ("levels", "top", "_images", "_reverse")
+    __slots__ = ("levels", "top", "_level_values")
 
     def __init__(self, levels, top: Ring):
         levels = tuple(levels)
@@ -54,8 +55,7 @@ class Tower:
                 )
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "_images", {})
-        object.__setattr__(self, "_reverse", {})
+        object.__setattr__(self, "_level_values", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Tower is immutable")
@@ -81,47 +81,46 @@ class Tower:
     def __repr__(self):
         return "<".join(r.name() for r in self.levels + (self.top,))
 
-    def _level_maps(self, i: int):
-        if i not in self._reverse:
-            fwd = {}
-            for a in self.levels[i].elements():
-                fwd[embed(a, self.top).value] = a
-            self._reverse[i] = fwd
-        return self._reverse[i]
+    def level_values(self, i: int) -> tuple:
+        """Top-ring values allowed as the coefficient of X^i, ascending; built
+        once per level, and the whole top ring from the depth up."""
+        i = min(i, self.depth)
+        if i not in self._level_values:
+            level = self.top if i == self.depth else self.levels[i]
+            images = (embed(a, self.top).value for a in level.elements())
+            self._level_values[i] = tuple(sorted(images, key=self.top.value_sort_key))
+        return self._level_values[i]
+
+    def _holds(self, i: int, value) -> bool:
+        return i >= self.depth or self.levels[i] == self.top or value in self.level_values(i)
+
+    def _first_outside(self, values: Sequence) -> Optional[int]:
+        """Index of the first coefficient value outside its level, or None."""
+        return next((i for i, v in enumerate(values[: self.depth]) if not self._holds(i, v)), None)
 
     def level_contains(self, i: int, c: RingElement) -> bool:
         """Is the top-ring element c inside the embedded image of level i?"""
-        if i >= self.depth or self.levels[i] == self.top:
-            return True
-        return c.value in self._level_maps(i)
+        return self._holds(i, c.value)
 
     def unembed(self, i: int, c: RingElement) -> RingElement:
         """Preimage in A_i of a top-ring element known to lie in its image."""
         if self.levels[i] == self.top:
             return c
-        try:
-            return self._level_maps(i)[c.value]
-        except KeyError:
-            raise MembershipError(
-                f"{c.text()} is not in the image of level {i} ({self.levels[i].name()})"
-            ) from None
+        for a in self.levels[i].elements():
+            if embed(a, self.top).value == c.value:
+                return a
+        raise MembershipError(
+            f"{c.text()} is not in the image of level {i} ({self.levels[i].name()})"
+        )
 
     def level_elements(self, i: int) -> list[RingElement]:
         """Embedded images of level i inside the top ring, ascending."""
-        if i >= self.depth or self.levels[i] == self.top:
-            return list(self.top.elements())
-        elems = [embed(a, self.top) for a in self.levels[i].elements()]
-        elems.sort(key=lambda e: e.sort_key())
-        return elems
+        return [RingElement(self.top, v) for v in self.level_values(i)]
 
 
 def contains(tower: Tower, f: Polynomial) -> bool:
     """Membership test: coefficient of X^i lies in level i for i < depth."""
-    if f.ring != tower.top:
-        return False
-    return all(
-        tower.level_contains(i, f.coeff(i)) for i in range(min(tower.depth, f.degree() + 1))
-    )
+    return f.ring == tower.top and tower._first_outside(f._values) is None
 
 
 class CompositeElement:
@@ -134,12 +133,12 @@ class CompositeElement:
             raise MembershipError(
                 f"polynomial over {f.ring.name()} does not live over {tower.top.name()}"
             )
-        for i in range(min(tower.depth, f.degree() + 1)):
-            if not tower.level_contains(i, f.coeff(i)):
-                raise MembershipError(
-                    f"coefficient of X^{i} ({f.coeff(i).text()}) is outside level "
-                    f"{i} ({tower.levels[i].name()})"
-                )
+        i = tower._first_outside(f._values)
+        if i is not None:
+            raise MembershipError(
+                f"coefficient of X^{i} ({f.coeff(i).text()}) is outside level "
+                f"{i} ({tower.levels[i].name()})"
+            )
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "poly", f)
 
@@ -167,7 +166,7 @@ class CompositeElement:
         return hash((self.tower, self.poly))
 
     def __repr__(self):
-        return f"{self.tower!r}:[{','.join(c.text() for c in self.poly.coeffs)}]"
+        return f"{self.tower!r}:[{','.join(map(self.tower.top.value_text, self.poly._values))}]"
 
     def _wrap(self, f: Polynomial) -> "CompositeElement":
         return CompositeElement(self.tower, f)
@@ -195,14 +194,11 @@ class CompositeElement:
     def is_unit(self) -> bool:
         """Constant term a unit of A0 and all higher coefficients nilpotent.
 
-        Over a field tower this reduces to: a nonzero constant of A0.
+        Over a field tower this reduces to: a nonzero constant of A0. A
+        proper level is a subfield of B, so its units are exactly the
+        units of B it contains, and the test runs on the B[X] values.
         """
-        if self.is_zero():
-            return False
-        c0 = self.tower.unembed(0, self.poly.coeff(0))
-        if not c0.is_unit():
-            return False
-        return all(c.is_nilpotent() for c in self.poly.coeffs[1:])
+        return self.poly.is_unit()
 
     def quotient_eval(self) -> RingElement:
         """Evaluation at X = 0, landing in A0; a surjective ring map."""
@@ -248,30 +244,25 @@ def _check_search_ceiling(f: CompositeElement):
         )
 
 
-def _divisor_candidates(tower: Tower, degree: int) -> Iterator[Polynomial]:
-    """All level-respecting polynomials of exactly the given degree."""
-    per_index = []
-    for i in range(degree + 1):
-        cands = tower.level_elements(i)
-        if i == degree:
-            cands = [c for c in cands if not c.is_zero()]
-        per_index.append(cands)
-    stack = [[]]
-    for cands in per_index:
-        stack = [pre + [c] for pre in stack for c in cands]
-    for coeffs in stack:
-        yield Polynomial(tower.top, coeffs)
+def _divisor_candidates(tower: Tower, degree: int) -> Iterator[tuple]:
+    """Coefficient values of every level-respecting polynomial of exactly
+    the given degree, in lexicographic order of the ascending level values."""
+    zero = tower.top.zero_value
+    pools = [tower.level_values(i) for i in range(degree)]
+    pools.append([v for v in tower.level_values(degree) if v != zero])
+    return itertools.product(*pools)
 
 
 def _find_factorization(
     f: CompositeElement,
 ) -> Optional[tuple[CompositeElement, CompositeElement]]:
     """Smallest-degree proper divisor g with level-respecting cofactor, or None."""
-    tower = f.tower
+    tower, top = f.tower, f.tower.top
     for d in range(1, f.degree()):
         for g in _divisor_candidates(tower, d):
-            q, r = divmod(f.poly, g)
-            if r.is_zero() and contains(tower, q):
+            q, r = dense_divmod(top, f.poly._values, g)
+            if not r and tower._first_outside(q) is None:
+                g, q = Polynomial._from_values(top, g), Polynomial._from_values(top, q)
                 return CompositeElement(tower, g), CompositeElement(tower, q)
     return None
 
@@ -310,12 +301,10 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
         return _atomize_by_search(f)
 
     top = tower.top
-    r = 0
-    while f.poly.coeff(r).is_zero():
-        r += 1
+    values = f.poly._values
+    r = next(i for i, v in enumerate(values) if v != top.zero_value)
     low = f.poly.coeff(r)
-    body = Polynomial(top, f.poly.coeffs[r:])
-    unit_part = body.scale(low.inverse())  # constant term 1
+    unit_part = Polynomial._from_values(top, values[r:]).scale(low.inverse())  # constant term 1
 
     atoms: list[CompositeElement] = []
     if r > 0:

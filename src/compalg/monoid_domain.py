@@ -121,62 +121,62 @@ def _apery_set(gens: tuple[int, ...]) -> list[Optional[int]]:
 
 
 class MonoidElement:
-    """Sparse element of B[M]: finitely many terms coeff * X^exponent."""
+    """Sparse element of B[M]: finitely many terms coeff * X^exponent, kept
+    as (exponent, canonical value) pairs ascending by exponent."""
 
-    __slots__ = ("ring", "monoid", "terms")
+    __slots__ = ("ring", "monoid", "_values")
 
     def __init__(self, ring: Ring, monoid: NumericalMonoid, terms):
         if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        cleaned: dict[int, RingElement] = {}
-        for exp, coeff in items:
+            terms = terms.items()
+        sums = {}
+        for exp, coeff in terms:
             exp = int(exp)
             if not monoid.contains(exp):
                 raise MembershipError(f"exponent {exp} is not in {monoid!r}")
-            elem = coeff if isinstance(coeff, RingElement) else ring.element(coeff)
-            if elem.ring != ring:
-                raise RingMismatchError("coefficient ring mismatch")
-            if exp in cleaned:
-                elem = cleaned[exp] + elem
-            if elem.is_zero():
-                cleaned.pop(exp, None)
-            else:
-                cleaned[exp] = elem
+            if isinstance(coeff, RingElement):
+                if coeff.ring != ring:
+                    raise RingMismatchError("coefficient ring mismatch")
+                coeff = coeff.value
+            sums[exp] = ring.add_values(sums.get(exp, ring.zero_value), ring.canon(coeff))
+        nonzero = ((e, v) for e, v in sums.items() if v != ring.zero_value)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "_values", tuple(sorted(nonzero)))
 
     def __setattr__(self, *_):
         raise AttributeError("MonoidElement is immutable")
+
+    @property
+    def terms(self) -> tuple[tuple[int, RingElement], ...]:
+        return tuple((e, RingElement(self.ring, v)) for e, v in self._values)
 
     def __eq__(self, other):
         return (
             isinstance(other, MonoidElement)
             and self.ring == other.ring
             and self.monoid == other.monoid
-            and self.terms == other.terms
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.ring, self.monoid, self.terms))
+        return hash((self.ring, self.monoid, self._values))
 
     def __repr__(self):
-        body = ",".join(f"{e}:{c.text()}" for e, c in self.terms)
+        body = ",".join(f"{e}:{self.ring.value_text(v)}" for e, v in self._values)
         return f"{self.ring.name()}:{self.monoid!r}:{{{body}}}"
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._values
 
     def max_exponent(self) -> int:
         """Largest exponent with a nonzero coefficient; -1 for zero."""
-        return self.terms[-1][0] if self.terms else -1
+        return self._values[-1][0] if self._values else -1
 
     def coeff(self, exp: int) -> RingElement:
-        for e, c in self.terms:
+        for e, v in self._values:
             if e == exp:
-                return c
+                return RingElement(self.ring, v)
         return self.ring.zero()
 
     def _check(self, other):
@@ -189,12 +189,11 @@ class MonoidElement:
 
     def __add__(self, other):
         self._check(other)
-        return MonoidElement(
-            self.ring, self.monoid, list(self.terms) + list(other.terms)
-        )
+        return MonoidElement(self.ring, self.monoid, self._values + other._values)
 
     def __neg__(self):
-        return MonoidElement(self.ring, self.monoid, [(e, -c) for e, c in self.terms])
+        neg = self.ring.neg_value
+        return MonoidElement(self.ring, self.monoid, [(e, neg(v)) for e, v in self._values])
 
     def __sub__(self, other):
         self._check(other)
@@ -202,13 +201,9 @@ class MonoidElement:
 
     def __mul__(self, other):
         self._check(other)
-        acc: dict[int, RingElement] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                prod = c1 * c2
-                acc[e] = acc[e] + prod if e in acc else prod
-        return MonoidElement(self.ring, self.monoid, acc)
+        mul = self.ring.mul_values
+        products = [(e1 + e2, mul(v1, v2)) for e1, v1 in self._values for e2, v2 in other._values]
+        return MonoidElement(self.ring, self.monoid, products)
 
     def is_unit(self) -> bool:
         """A term at exponent 0 with a unit coefficient, all others nilpotent.
@@ -216,15 +211,15 @@ class MonoidElement:
         Over a domain this degenerates to: exactly a unit constant.
         """
         has_unit_constant = False
-        for e, c in self.terms:
-            if e == 0 and c.is_unit():
+        for e, v in self._values:
+            if e == 0 and self.ring.is_unit_value(v):
                 has_unit_constant = True
-            elif not c.is_nilpotent():
+            elif not self.ring.is_nilpotent_value(v):
                 return False
         return has_unit_constant
 
     def is_nilpotent(self) -> bool:
-        return all(c.is_nilpotent() for _, c in self.terms)
+        return all(self.ring.is_nilpotent_value(v) for _, v in self._values)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +276,12 @@ def build_irreducible(
         if p < 2 or not is_prime(p):
             raise ParameterError(f"{p} is not a prime element of Z")
 
-    terms = {m1: ring.element(-1)}
+    terms = {m1: -1}
     # the last prime gets the positive sign on X^mr, all earlier ones negative
     for i, m in enumerate(exponents[1:], start=1):
         p = primes[i - 1]
         sign = 1 if i == len(exponents) - 1 else -1
-        terms[m] = ring.element(sign * p)
+        terms[m] = sign * p
     element = MonoidElement(ring, monoid, terms)
     return IrreducibleCertificate(element, m1, exponents[1:], primes)
 
@@ -355,8 +350,8 @@ def is_irreducible_by_search(
 def _to_dense(f: MonoidElement) -> list:
     """Canonical coefficient values, exponent 0 first."""
     dense = [f.ring.zero_value] * (f.max_exponent() + 1)
-    for e, c in f.terms:
-        dense[e] = c.value
+    for e, v in f._values:
+        dense[e] = v
     return dense
 
 

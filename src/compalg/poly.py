@@ -1,13 +1,13 @@
 """Dense univariate polynomials over any ring descriptor.
 
-A Polynomial keeps its coefficients twice: as canonical ring values,
-on which ``+ - * divmod`` and irreducibility run through the dense
-kernel in rings.py, and as the public RingElement tuple ``coeffs``,
-built once per result. Provides the classical unit and nilpotency
-criteria (constant term a unit plus nilpotent higher coefficients),
-plus brute-force irreducibility, factorization and inverse search at
-desk scale. Factor order is canonical: ascending degree, then ascending
-little-endian coefficient order, so outputs are reproducible.
+A Polynomial keeps only canonical ring values: the dense kernel in
+rings.py does its arithmetic and the ring's value hooks answer its
+predicates; ``coeffs`` and ``coeff`` wrap values as RingElements on
+demand. Provides the classical unit and nilpotency criteria (constant
+term a unit plus nilpotent higher coefficients), plus brute-force
+irreducibility, factorization and inverse search at desk scale. Factor
+order is canonical: ascending degree, then ascending little-endian
+coefficient order, so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ INVERSE_SEARCH_MAX_BOUND = 8
 
 
 class Polynomial:
-    """Immutable dense polynomial; coeffs little-endian with no trailing zeros."""
+    """Immutable dense polynomial; _values little-endian with no trailing zeros."""
 
-    __slots__ = ("ring", "coeffs", "_values")
+    __slots__ = ("ring", "_values")
 
     def __init__(self, ring: Ring, coeffs: Sequence = ()):
         values = []
@@ -50,43 +50,42 @@ class Polynomial:
                 values.append(c.value)
             else:
                 values.append(ring.canon(c))
-        self._set(ring, dense_trim(ring, values))
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_values", tuple(dense_trim(ring, values)))
 
     @classmethod
     def _from_values(cls, ring: Ring, values) -> "Polynomial":
         """Wrap canonical values that already have no trailing zeros."""
         f = object.__new__(cls)
-        f._set(ring, values)
+        object.__setattr__(f, "ring", ring)
+        object.__setattr__(f, "_values", tuple(values))
         return f
-
-    def _set(self, ring: Ring, values):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_values", tuple(values))
-        object.__setattr__(self, "coeffs", tuple(RingElement(ring, v) for v in values))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
     # basic structure ------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[RingElement, ...]:
+        return tuple(RingElement(self.ring, v) for v in self._values)
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._values) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._values
 
     def coeff(self, i: int) -> RingElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._values):
+            return RingElement(self.ring, self._values[i])
         return self.ring.zero()
 
     def constant(self) -> RingElement:
         return self.coeff(0)
 
     def leading(self) -> RingElement:
-        if self.is_zero():
-            return self.ring.zero()
-        return self.coeffs[-1]
+        return self.coeff(self.degree())
 
     def __eq__(self, other):
         return (
@@ -99,7 +98,7 @@ class Polynomial:
         return hash((self.ring, self._values))
 
     def __repr__(self):
-        return f"{self.ring.name()}:[{','.join(c.text() for c in self.coeffs)}]"
+        return f"{self.ring.name()}:[{','.join(map(self.ring.value_text, self._values))}]"
 
     # arithmetic -----------------------------------------------------
     def _check(self, other):
@@ -122,7 +121,7 @@ class Polynomial:
         return self._from_values(self.ring, dense_mul(self.ring, self._values, other._values))
 
     def __pow__(self, e: int):
-        out = Polynomial(self.ring, [self.ring.one()])
+        out = self._from_values(self.ring, (self.ring.one_value,))
         base = self
         while e:
             if e & 1:
@@ -164,25 +163,24 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        return self * self._from_values(self.ring, (self.ring.inverse_value(self._values[-1]),))
 
     # ordering -------------------------------------------------------
     def sort_key(self):
         """(degree, little-endian coefficient keys): the canonical order."""
-        return (self.degree(), tuple(c.sort_key() for c in self.coeffs))
+        return (self.degree(), tuple(map(self.ring.value_sort_key, self._values)))
 
     # predicates from the classical criteria ---------------------------
     def is_unit(self) -> bool:
         """Constant term a unit and every higher coefficient nilpotent."""
-        if self.is_zero():
+        ring, values = self.ring, self._values
+        if not values or not ring.is_unit_value(values[0]):
             return False
-        if not self.coeffs[0].is_unit():
-            return False
-        return all(c.is_nilpotent() for c in self.coeffs[1:])
+        return all(map(ring.is_nilpotent_value, values[1:]))
 
     def is_nilpotent(self) -> bool:
         """Every coefficient nilpotent (true for the zero polynomial)."""
-        return all(c.is_nilpotent() for c in self.coeffs)
+        return all(map(self.ring.is_nilpotent_value, self._values))
 
     def is_irreducible(self) -> bool:
         """Brute-force irreducibility over a finite field.
@@ -201,29 +199,29 @@ class Polynomial:
 
     def factor(self) -> "Factorization":
         """Complete factorization over a finite field by trial division."""
-        if not self.ring.is_field or self.ring.size() is None:
+        ring = self.ring
+        if not ring.is_field or ring.size() is None:
             raise ParameterError(
-                f"factorization requires a finite field, not {self.ring.name()}"
+                f"factorization requires a finite field, not {ring.name()}"
             )
         if self.is_zero():
             raise ParameterError("cannot factor the zero polynomial")
         unit = self.leading()
-        rest = self.monic()
+        rest = self.monic()._values
         factors: list[tuple[Polynomial, int]] = []
         d = 1
-        while 2 * d <= rest.degree():
-            for q in irreducible_monic_polynomials(self.ring, d):
+        while 2 * d < len(rest):
+            for q in irreducible_monic_polynomials(ring, d):
                 mult = 0
-                while q.divides(rest):
-                    rest = rest // q
-                    mult += 1
+                while not (split := dense_divmod(ring, rest, q._values))[1]:
+                    rest, mult = split[0], mult + 1
                 if mult:
                     factors.append((q, mult))
-                if 2 * d > rest.degree():
+                if 2 * d >= len(rest):
                     break
             d += 1
-        if rest.degree() >= 1:
-            factors.append((rest, 1))
+        if len(rest) > 1:
+            factors.append((self._from_values(ring, rest), 1))
         return Factorization(unit, tuple(factors))
 
 

@@ -53,7 +53,7 @@ def parse_ring(text: str) -> Ring:
     if m:
         q, p = int(m.group(1)), int(m.group(2))
         coeffs = _parse_tpoly(m.group(3), p)
-        field = ExtensionField(p, tuple(coeffs))
+        field = ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1)))
         if field.size() != q:
             raise FormatError(f"ring name {text!r}: size {q} does not match modulus")
         return field
@@ -84,8 +84,8 @@ def short_ring_name(ring: Ring) -> str:
     return ring.name()
 
 
-def _parse_tpoly(text: str, p: int) -> list[int]:
-    """Parse a sum of terms like 2t^3, t, 5 into little-endian coefficients."""
+def _parse_tpoly(text: str, p: int) -> dict[int, int]:
+    """Parse a sum of terms like 2t^3, t, 5 into exponent -> coefficient mod p."""
     coeffs: dict[int, int] = {}
     for raw in text.split("+"):
         term = raw.strip()
@@ -100,16 +100,15 @@ def _parse_tpoly(text: str, p: int) -> list[int]:
         else:
             exp = int(m.group(4))
         coeffs[exp] = (coeffs.get(exp, 0) + coeff) % p
-    out = [0] * (max(coeffs) + 1 if coeffs else 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return out
+    return coeffs
 
 
 def parse_scalar(ring: Ring, text: str) -> RingElement:
     text = text.strip()
     if isinstance(ring, ExtensionField):
-        return ring.element(tuple(_parse_tpoly(text, ring.p)))
+        t = ring.element((0, 1))  # powers by square-and-multiply, not a dense list
+        terms = _parse_tpoly(text, ring.p).items()
+        return sum((ring.element(c) * t ** e for e, c in terms), ring.zero())
     try:
         return ring.element(int(text))
     except ValueError:
@@ -142,7 +141,7 @@ def parse_poly(text: str) -> Polynomial:
 
 
 def poly_body_text(f: Polynomial) -> str:
-    return f"[{','.join(c.text() for c in f.coeffs)}]"
+    return f"[{','.join(map(f.ring.value_text, f._values))}]"
 
 
 def poly_text(f: Polynomial) -> str:
@@ -225,8 +224,7 @@ def parse_monoid_element(text: str) -> MonoidElement:
 
 
 def monoid_element_text(e: MonoidElement) -> str:
-    body = ",".join(f"{exp}:{c.text()}" for exp, c in e.terms)
-    return f"{e.ring.name()}:{monoid_text(e.monoid)}:{{{body}}}"
+    return repr(e)
 
 
 def parse_ideal(text: str) -> PrincipalIdeal:

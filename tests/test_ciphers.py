@@ -1,11 +1,12 @@
 """Round trips and worked examples for all six cryptosystems."""
 
 import random
+import time
 from math import gcd
 
 import pytest
 
-from compalg import ParameterError, ideal
+from compalg import FormatError, ParameterError, ideal
 from compalg.arith import is_prime
 from compalg.ciphers import (
     AffineCipher,
@@ -27,6 +28,7 @@ from compalg.ciphers import (
     monoid_decrypt,
     monoid_encrypt,
     monoid_keygen,
+    parse_cipher,
     parse_cipher_polynomial,
     random_affine_polynomial,
     rsa_decrypt,
@@ -317,6 +319,31 @@ def test_composed_tree_round_trip():
 def test_cipher_descriptor_round_trip():
     text = "poly[sum(aff(1,1,26),prod(aff(3,2,26),aff(5,0,26))),aff(7,7,26)]"
     assert parse_cipher_polynomial(text).descriptor() == text
+
+
+def _nested_descriptor(depth):
+    units = [a for a in range(1, 26) if gcd(a, 26) == 1]
+    desc = "aff(1,0,26)"
+    for i in range(depth):
+        other = f"aff({units[i % len(units)]},{i % 26},26)"
+        desc = f"prod({desc},{other})" if i % 2 else f"sum({other},{desc})"
+    return desc
+
+
+def test_deep_descriptor_is_a_format_error_in_linear_time():
+    desc = _nested_descriptor(2000)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="nested too deeply"):
+        parse_cipher(desc)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_900_deep_descriptor_parses_and_round_trips():
+    text = f"poly[{_nested_descriptor(900)},aff(3,1,26)]"
+    key = parse_cipher_polynomial(text)
+    assert key.descriptor() == text
+    message = [0, 7, 25, 13]
+    assert composite_cipher_decrypt(composite_cipher_encrypt(message, key), key) == message
 
 
 # --- exponent cipher ----------------------------------------------------------------------

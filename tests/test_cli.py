@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,35 @@ def test_deeply_nested_cipher_descriptor_is_a_format_error():
     )
     _assert_clean_error(code, out, err, "ERR:format: ")
     assert "nested too deeply" in err
+
+
+def test_negative_monoid_member_is_a_parameter_error():
+    code, out, err = run_cli(["monoid", "contains", "M<2,3>", "-1"])
+    _assert_clean_error(code, out, err, "ERR:parameter: ")
+
+
+def test_replaying_a_garbage_file_is_a_format_error(tmp_path):
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("not a transcript\nparam p=7\n")
+    code, out, err = run_cli(["exchange", "replay", str(garbage)])
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+def test_field_element_with_a_huge_exponent():
+    """t has order 3 in F4 and 10^9 = 1 mod 3; no list as long as the exponent."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "compalg.cli", "ring", "check", element],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        for element in ("F4:t^1000000000", "F4:t")
+    ]
+    assert [(done.returncode, done.stdout) for done in outputs] == [
+        (0, "unit=true nilpotent=false inverse=1+t\n")
+    ] * 2, outputs[0].stderr
 
 
 @pytest.mark.parametrize(
