@@ -12,18 +12,19 @@ that criterion is only sound in one direction (irreducible in B[X]
 implies irreducible here); the converse fails, e.g. t*X^2 over
 F2 < F2 < F4 has no factorization with level-respecting coefficients
 although it splits as (tX)(X) in B[X]. Where the criterion is silent
-the operations fall back to an exhaustive bounded divisor search.
+the operations fall back to an exhaustive bounded divisor search; this
+module supplies its pools (the ascending values of each level) and its
+acceptance test (the cofactor respects the levels).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CeilingError, MembershipError, ParameterError
 from .poly import Polynomial
-from .rings import Ring, RingElement, dense_divmod, embed, has_embedding
+from .rings import Ring, RingElement, dense_find_divisor, embed, has_embedding
 
 #: size ceilings for the exhaustive searches (oracle, chains, deep towers)
 SEARCH_MAX_FIELD_SIZE = 9
@@ -220,7 +221,6 @@ class CompositeElement:
             return self.poly.is_irreducible()
         if self.poly.is_irreducible():
             return True
-        _check_search_ceiling(self)
         return _find_factorization(self) is None
 
     def _require_fields(self, opname: str):
@@ -244,27 +244,24 @@ def _check_search_ceiling(f: CompositeElement):
         )
 
 
-def _divisor_candidates(tower: Tower, degree: int) -> Iterator[tuple]:
-    """Coefficient values of every level-respecting polynomial of exactly
-    the given degree, in lexicographic order of the ascending level values."""
-    zero = tower.top.zero_value
-    pools = [tower.level_values(i) for i in range(degree)]
-    pools.append([v for v in tower.level_values(degree) if v != zero])
-    return itertools.product(*pools)
-
-
 def _find_factorization(
     f: CompositeElement,
 ) -> Optional[tuple[CompositeElement, CompositeElement]]:
-    """Smallest-degree proper divisor g with level-respecting cofactor, or None."""
+    """Smallest-degree proper divisor g with level-respecting cofactor, or None.
+    Every search starts here, so the ceiling is checked here."""
+    _check_search_ceiling(f)
     tower, top = f.tower, f.tower.top
-    for d in range(1, f.degree()):
-        for g in _divisor_candidates(tower, d):
-            q, r = dense_divmod(top, f.poly._values, g)
-            if not r and tower._first_outside(q) is None:
-                g, q = Polynomial._from_values(top, g), Polynomial._from_values(top, q)
-                return CompositeElement(tower, g), CompositeElement(tower, q)
-    return None
+    pools = (
+        [tower.level_values(i) for i in range(d)]
+        + [[v for v in tower.level_values(d) if v != top.zero_value]]
+        for d in range(1, f.degree())
+    )
+    split = dense_find_divisor(
+        top, f.poly._values, pools, lambda q: tower._first_outside(q) is None
+    )
+    if split is None:
+        return None
+    return tuple(CompositeElement(tower, Polynomial._from_values(top, v)) for v in split)
 
 
 def has_nontrivial_factorization(f: CompositeElement) -> bool:
@@ -278,7 +275,6 @@ def has_nontrivial_factorization(f: CompositeElement) -> bool:
     f._require_fields("factor search")
     if f.is_zero() or f.is_unit():
         raise ParameterError("factor search is undefined for zero and units")
-    _check_search_ceiling(f)
     return _find_factorization(f) is not None
 
 
@@ -297,7 +293,6 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
         raise ParameterError("atomize is undefined for zero and units")
     tower = f.tower
     if tower.depth > 1:
-        _check_search_ceiling(f)
         return _atomize_by_search(f)
 
     top = tower.top
@@ -359,7 +354,6 @@ def divisor_chain(f: CompositeElement, max_steps: int) -> DivisorChain:
     f._require_fields("divisor chain")
     if f.is_zero() or f.is_unit():
         raise ParameterError("divisor chains are undefined for zero and units")
-    _check_search_ceiling(f)
     chain = [f]
     current = f
     terminated = False

@@ -9,7 +9,10 @@ build (Bocker & Liptak's round robin) every query is O(1), whatever
 the size of m. Elements are sparse exponent -> coefficient maps; every
 exponent must be a member of M. The module also builds the certified
 irreducible elements of the shape p(r-1)*X^m(r) - ... - p1*X^m2 - X^m1
-and verifies them with a brute-force factorization search.
+and verifies them with a brute-force factorization search. This module
+supplies the search's coefficient pools (a box over Z, the whole ring
+over a finite field, zero at exponents outside M) and its acceptance
+test (the cofactor is supported on M).
 
 Restricting to numerical monoids is what keeps everything decidable;
 it also grants the construction's standing hypotheses for free (the
@@ -32,7 +35,7 @@ from .errors import (
     ParameterError,
     RingMismatchError,
 )
-from .rings import Integers, Ring, RingElement, dense_divmod
+from .rings import Integers, Ring, RingElement, dense_find_divisor
 
 
 class NumericalMonoid:
@@ -318,50 +321,21 @@ def is_irreducible_by_search(
     if not over_z and ring.size() is None:
         raise ParameterError(f"{ring.name()} is not finite")
 
-    monoid = f.monoid
-    dense = _to_dense(f)
+    monoid, zero = f.monoid, ring.zero_value
+    dense = [zero] * (f.max_exponent() + 1)
+    for e, v in f._values:
+        dense[e] = v
     deg = len(dense) - 1
 
     # constant factor: over Z a nonunit constant divides f iff the content
     # is nontrivial; over a field constants are units
     if over_z:
-        content = 0
-        for c in dense:
-            content = gcd(content, c)
         if deg == 0:
             return is_prime(abs(dense[0]))
-        if content > 1:
+        if gcd(*dense) > 1:
             return False
-    if deg == 0:
-        return False  # field constant would be a unit; unreachable
-
-    members = monoid.members_upto(min(deg, exponent_bound))
-    for dg in members:
-        dh = deg - dg
-        if dg < 1 or dh < 1:
-            continue
-        if not monoid.contains(dh):
-            continue
-        if _split_search(dense, monoid, dg, coeff_bound, ring, over_z):
-            return False
-    return True
-
-
-def _to_dense(f: MonoidElement) -> list:
-    """Canonical coefficient values, exponent 0 first."""
-    dense = [f.ring.zero_value] * (f.max_exponent() + 1)
-    for e, v in f._values:
-        dense[e] = v
-    return dense
-
-
-def _split_search(dense, monoid, dg, coeff_bound, ring, over_z) -> bool:
-    """Try every candidate divisor of degree dg; True when a split is found."""
-    support = monoid.members_upto(dg)
-    inner = support[:-1]  # dg itself is a member, handled by the lead loop
-    if over_z:
-        lead_choices = [s * d for d in divisors(abs(dense[-1])) for s in (1, -1)]
-        box = list(range(-coeff_bound, coeff_bound + 1))
+        leads = [s * d for d in divisors(abs(dense[-1])) for s in (1, -1)]
+        box = range(-coeff_bound, coeff_bound + 1)
         # over a domain the lowest coefficients multiply, so a nonzero
         # constant term of the divisor must divide the lowest coefficient of f
         tc_f = next(c for c in dense if c)
@@ -371,58 +345,17 @@ def _split_search(dense, monoid, dg, coeff_bound, ring, over_z) -> bool:
             for s in (1, -1)
             if d <= coeff_bound
         ]
-        boxes = [box0 if pos == 0 else box for pos in inner]
     else:
-        values = list(ring.element_values())
-        lead_choices = values[1:]
-        boxes = [values] * len(inner)
-    zero = ring.zero_value
+        box = box0 = tuple(ring.element_values())
+        leads = box[1:]
 
-    def assign(idx, g):
-        if idx == len(inner):
-            for lead in lead_choices:
-                g[dg] = lead
-                h = _exact_division(dense, g, ring, over_z)
-                if h is not None and _supported(h, monoid, zero):
-                    return True
-            g[dg] = zero
-            return False
-        pos = inner[idx]
-        for c in boxes[idx]:
-            g[pos] = c
-            if assign(idx + 1, g):
-                return True
-        g[pos] = zero
-        return False
-
-    return assign(0, [zero] * (dg + 1))
-
-
-def _exact_division(f_dense, g_dense, ring, over_z):
-    """f / g when the division is exact in the ring, else None.
-
-    Over Z the quotient must stay integral, so each step checks
-    divisibility and the loop exits at the first failure; over a field
-    this is plain long division by the dense kernel.
-    """
-    if over_z:
-        rem = list(f_dense)
-        glead = g_dense[-1]
-        dh = len(rem) - len(g_dense)
-        q = [0] * (dh + 1)
-        for shift in range(dh, -1, -1):
-            top = rem[shift + len(g_dense) - 1]
-            if top % glead != 0:
-                return None
-            c = top // glead
-            q[shift] = c
-            if c:
-                for i, gi in enumerate(g_dense):
-                    rem[shift + i] -= c * gi
-        return q if not any(rem) else None
-    q, rem = dense_divmod(ring, f_dense, g_dense)
-    return None if rem else q
-
-
-def _supported(h_dense, monoid, zero) -> bool:
-    return all(c == zero or monoid.contains(e) for e, c in enumerate(h_dense))
+    pool_lists = (
+        [box0 if e == 0 else box if monoid.contains(e) else (zero,) for e in range(dg)] + [leads]
+        for dg in range(1, deg)
+        if monoid.contains(dg) and monoid.contains(deg - dg)
+    )
+    split = dense_find_divisor(
+        ring, dense, pool_lists,
+        lambda q: all(c == zero or monoid.contains(e) for e, c in enumerate(q)),
+    )
+    return split is None

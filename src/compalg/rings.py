@@ -15,12 +15,14 @@ value for callers that want operators.
 
 The ``dense_*`` functions are the package's one implementation of
 polynomial multiplication, long division, extended Euclid, Horner
-evaluation and trial-division irreducibility. They take a descriptor
-and little-endian lists of its canonical values, and reach coefficients
-only through the hooks and the descriptor's ``zero_value``,
-``one_value`` and ``element_values``. So the same code serves
-ExtensionField (over its prime field), subfield embeddings, Polynomial
-(over any ring) and the field searches of monoid_domain.
+evaluation and divisor search. They take a descriptor and little-endian
+lists of its canonical values, and reach coefficients only through the
+hooks and the descriptor's ``zero_value``, ``one_value`` and
+``element_values``. So the same code serves ExtensionField (over its
+prime field), subfield embeddings, Polynomial (over any ring) and the
+searches of composite and monoid_domain. The one search loop is
+``dense_find_divisor`` over ``dense_exact_quotient``: trial division and
+the two searches differ only in their candidate pools and acceptance test.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .arith import factorize, is_prime
 from .errors import (
@@ -127,15 +129,43 @@ def dense_ext_gcd(ring: "Ring", a, b) -> tuple[list, list]:
     return r0, u0
 
 
+def dense_exact_quotient(ring: "Ring", a, b) -> Optional[list]:
+    """q with b*q = a, or None. Over Z the long division stops at the first
+    step that does not divide; elsewhere b's leading coefficient must be a unit."""
+    if not isinstance(ring, Integers):
+        q, r = dense_divmod(ring, a, b)
+        return None if r else q
+    rem, lead, n = list(a), b[-1], len(b) - 1
+    q = [0] * (len(rem) - n)
+    for shift in range(len(q) - 1, -1, -1):
+        top = rem[shift + n]
+        if top % lead:
+            return None
+        c = top // lead
+        q[shift] = c
+        if c:
+            for i, bi in enumerate(b):
+                rem[shift + i] -= c * bi
+    return None if any(rem) else q
+
+
+def dense_find_divisor(ring: "Ring", f, pool_lists, accept) -> Optional[tuple]:
+    """The first (g, q) with g*q = f and accept(q), or None. For each list of
+    per-coefficient pools in turn, g runs over ``itertools.product(*pools)``."""
+    for pools in pool_lists:
+        for g in itertools.product(*pools):
+            q = dense_exact_quotient(ring, f, g)
+            if q is not None and accept(q):
+                return g, q
+    return None
+
+
 def dense_is_irreducible(ring: "Ring", f) -> bool:
     """Trial division of f (degree >= 1, over a finite field) by every
     monic polynomial of degree 1 to deg(f)/2."""
-    values = list(ring.element_values())
-    for d in range(1, (len(f) - 1) // 2 + 1):
-        for tail in itertools.product(values, repeat=d):
-            if not dense_divmod(ring, f, [*tail, ring.one_value])[1]:
-                return False
-    return True
+    values = tuple(ring.element_values())
+    monic = ([values] * d + [(ring.one_value,)] for d in range(1, (len(f) - 1) // 2 + 1))
+    return dense_find_divisor(ring, f, monic, lambda q: True) is None
 
 
 def _fp_text(coeffs, var: str = "t", descending: bool = True) -> str:
@@ -582,15 +612,11 @@ def embed(x: RingElement, target: Ring) -> RingElement:
     F(p^j) into F(p^k) for j | k via the stored image of the generator.
     """
     src = x.ring
+    if not has_embedding(src, target):
+        raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")
     if src == target:
         return x
-    if isinstance(src, PrimeField) and isinstance(target, ExtensionField):
-        if src.p != target.p:
-            raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")
+    if isinstance(src, PrimeField):
         return target.element(x.value)
-    if isinstance(src, ExtensionField) and isinstance(target, ExtensionField):
-        if src.p != target.p or target.degree % src.degree != 0:
-            raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")
-        coeffs = [target.canon(c) for c in x.value]
-        return RingElement(target, dense_eval(target, coeffs, _generator_image(src, target)))
-    raise EmbeddingError(f"no embedding {src.name()} -> {target.name()}")
+    coeffs = [target.canon(c) for c in x.value]
+    return RingElement(target, dense_eval(target, coeffs, _generator_image(src, target)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .arith import factorize
+from .arith import factorize, is_prime
 from .composite import CompositeElement, Tower
 from .errors import FormatError
 from .ideals import PrincipalIdeal
@@ -52,11 +52,14 @@ def parse_ring(text: str) -> Ring:
     m = _EXT_RE.match(text)
     if m:
         q, p = int(m.group(1)), int(m.group(2))
+        if not is_prime(p):
+            raise FormatError(f"ring name {text!r}: F{p} is not a prime field")
         coeffs = _parse_tpoly(m.group(3), p)
-        field = ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1)))
-        if field.size() != q:
+        k = max(coeffs)
+        # q = p^k is checked before the modulus is densified and trial-divided
+        if k > q.bit_length() or p**k != q:
             raise FormatError(f"ring name {text!r}: size {q} does not match modulus")
-        return field
+        return ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(k + 1)))
     if text.startswith("F"):
         try:
             q = int(text[1:])

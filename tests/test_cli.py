@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -301,6 +302,29 @@ def test_field_element_with_a_huge_exponent():
     assert [(done.returncode, done.stdout) for done in outputs] == [
         (0, "unit=true nilpotent=false inverse=1+t\n")
     ] * 2, outputs[0].stderr
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        "F(4)=F2[t]/(t^41+t^3+1):t",  # irreducible: trial division would take minutes
+        "F(4)=F2[t]/(t^1000000000+t+1):t",  # densifying the modulus would exhaust memory
+        "F(4)=F0[t]/(t):0",
+        "F(4)=F4[t]/(t+1):1",
+    ],
+)
+def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    gib = 1 << 30  # a regression that densifies the modulus fails fast here
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg.cli", "ring", "check", element],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("ERR:format: ") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(
