@@ -298,11 +298,12 @@ def is_irreducible_by_search(
 ) -> bool:
     """True when no factorization f = g*h with both factors nonunits exists.
 
+    exponent_bound only caps f's own exponent (a CeilingError above it).
     The search enumerates candidate divisors g with exponents drawn from
-    the monoid members up to exponent_bound and coefficients from the
-    bounded box ([-coeff_bound, coeff_bound] over Z, the whole ring over
-    a finite field); each cofactor is recovered by exact division, so it
-    is not box-limited. Only domains are supported.
+    the monoid members below deg f and coefficients from the bounded box
+    ([-coeff_bound, coeff_bound] over Z, the whole ring over a finite
+    field); each cofactor is recovered by exact division, so it is not
+    box-limited. Only domains are supported.
     """
     ring = f.ring
     if not ring.is_domain():

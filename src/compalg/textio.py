@@ -22,7 +22,7 @@ import re
 
 from .arith import factorize, is_prime
 from .composite import CompositeElement, Tower
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .ideals import PrincipalIdeal
 from .monoid_domain import MonoidElement, NumericalMonoid
 from .poly import Polynomial
@@ -52,11 +52,14 @@ def parse_ring(text: str) -> Ring:
     m = _EXT_RE.match(text)
     if m:
         q, p = int(m.group(1)), int(m.group(2))
+        # ExtensionField's own parameter checks, made before the modulus is
+        # densified and trial-divided, and before q = p^k is checked
         if not is_prime(p):
-            raise FormatError(f"ring name {text!r}: F{p} is not a prime field")
+            raise ParameterError(f"extension field base {p} is not prime")
         coeffs = _parse_tpoly(m.group(3), p)
         k = max(coeffs)
-        # q = p^k is checked before the modulus is densified and trial-divided
+        if k < 1 or coeffs[k] != 1:
+            raise ParameterError("modulus must be monic of degree >= 1")
         if k > q.bit_length() or p**k != q:
             raise FormatError(f"ring name {text!r}: size {q} does not match modulus")
         return ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(k + 1)))

@@ -305,15 +305,16 @@ def test_field_element_with_a_huge_exponent():
 
 
 @pytest.mark.parametrize(
-    "element",
+    "element,code",
     [
-        "F(4)=F2[t]/(t^41+t^3+1):t",  # irreducible: trial division would take minutes
-        "F(4)=F2[t]/(t^1000000000+t+1):t",  # densifying the modulus would exhaust memory
-        "F(4)=F0[t]/(t):0",
-        "F(4)=F4[t]/(t+1):1",
+        ("F(4)=F2[t]/(t^41+t^3+1):t", "format"),  # irreducible: trial division takes minutes
+        ("F(4)=F2[t]/(t^1000000000+t+1):t", "format"),  # densifying would exhaust memory
+        ("F(4)=F0[t]/(t):0", "parameter"),
+        ("F(4)=F4[t]/(t+1):1", "parameter"),
+        ("F(4)=F2[t]/(2t^3+t^2+t+1):t", "parameter"),  # not monic: 2 = 0 in F2
     ],
 )
-def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element):
+def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, code):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -324,7 +325,7 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
     )
     assert done.returncode == 1
-    assert done.stderr.startswith("ERR:format: ") and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"ERR:{code}: ") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(
