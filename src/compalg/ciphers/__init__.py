@@ -3,48 +3,24 @@
 All of them are pedagogical and insecure by design; the contract of
 every system is exact round-trip correctness over its valid message
 domain, nothing more.
+
+Names load from their submodule on first use, like those of ``compalg``.
 """
 
-from .rsa_ideal import RsaIdealKey, rsa_keygen, rsa_encrypt, rsa_decrypt
-from .diffie_hellman import DhParams, DhExchange, dh_exchange
-from .fractional import (
-    FractionalKey,
-    frac_encrypt,
-    frac_decrypt,
-    frac_decrypt_fast_path,
-)
-from .zone import ZoneKey, zone_encrypt, zone_decrypt
-from .composite_cipher import (
-    AffineCipher,
-    CipherPolynomial,
-    CipherText,
-    cipher_product,
-    cipher_sum,
-    composite_cipher_keygen,
-    composite_cipher_encrypt,
-    composite_cipher_decrypt,
-    parse_cipher,
-    parse_cipher_polynomial,
-    random_affine_polynomial,
-)
-from .monoid_cipher import (
-    MonoidCipherKey,
-    monoid_keygen,
-    monoid_encrypt,
-    monoid_decrypt,
-    discrete_log_bsgs,
-    discrete_log_exhaustive,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "RsaIdealKey", "rsa_keygen", "rsa_encrypt", "rsa_decrypt",
-    "DhParams", "DhExchange", "dh_exchange",
-    "FractionalKey", "frac_encrypt", "frac_decrypt", "frac_decrypt_fast_path",
-    "ZoneKey", "zone_encrypt", "zone_decrypt",
-    "AffineCipher", "CipherPolynomial", "CipherText",
-    "cipher_product", "cipher_sum", "composite_cipher_keygen",
-    "composite_cipher_encrypt", "composite_cipher_decrypt",
-    "parse_cipher", "parse_cipher_polynomial", "random_affine_polynomial",
-    "MonoidCipherKey", "monoid_keygen", "monoid_encrypt", "monoid_decrypt",
-    "discrete_log_bsgs", "discrete_log_exhaustive",
-]
+_EXPORTS = {
+    "rsa_ideal": "RsaIdealKey rsa_keygen rsa_encrypt rsa_decrypt",
+    "diffie_hellman": "DhParams DhExchange dh_exchange",
+    "fractional": "FractionalKey frac_encrypt frac_decrypt frac_decrypt_fast_path",
+    "zone": "ZoneKey zone_encrypt zone_decrypt",
+    "composite_cipher": "AffineCipher CipherPolynomial CipherText cipher_product cipher_sum "
+                        "composite_cipher_keygen composite_cipher_encrypt "
+                        "composite_cipher_decrypt parse_cipher parse_cipher_polynomial "
+                        "random_affine_polynomial",
+    "monoid_cipher": "MonoidCipherKey monoid_keygen monoid_encrypt monoid_decrypt "
+                     "discrete_log_bsgs discrete_log_exhaustive",
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

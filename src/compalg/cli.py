@@ -10,68 +10,12 @@ executed verbatim by the test suite and must match byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from pathlib import Path
 
-from . import alphabet as alpha
-from .composite import (
-    CompositeElement,
-    atomize,
-    contains,
-    divisor_chain,
-    has_nontrivial_factorization,
-)
 from .errors import CompalgError, FormatError, ParameterError
-from .ideals import PrincipalIdeal, inverse_ideal, totient_ideal
-from .keyexchange import (
-    parse_transcript_params,
-    replay_composite_agreement,
-    replay_dh,
-    run_composite_agreement,
-    run_dh,
-)
-from .monoid_domain import build_irreducible, is_irreducible_by_search
-from .poly import search_inverse
-from .textio import (
-    key_record_text,
-    monoid_element_text,
-    parse_composite,
-    parse_ideal,
-    parse_key_record,
-    parse_monoid,
-    parse_monoid_element,
-    parse_poly,
-    parse_ring,
-    parse_element,
-    parse_tower_poly,
-    poly_body_text,
-)
-from .ciphers import (
-    DhParams,
-    FractionalKey,
-    ZoneKey,
-    composite_cipher_decrypt,
-    composite_cipher_encrypt,
-    composite_cipher_keygen,
-    dh_exchange,
-    frac_decrypt,
-    frac_encrypt,
-    monoid_decrypt,
-    monoid_encrypt,
-    monoid_keygen,
-    parse_cipher_polynomial,
-    rsa_decrypt,
-    rsa_encrypt,
-    rsa_keygen,
-    zone_decrypt,
-    zone_encrypt,
-)
-from .ciphers.composite_cipher import CipherText
-from .ciphers import monoid_cipher as _mc
-from .ciphers import rsa_ideal as _rsa
-from .ciphers.zone import pairs_from_text, pairs_to_text
+
+# Every other import is made by the handler that needs it, so a call pays
+# only for the modules its subcommand uses.
 
 PROG = "compalg"
 
@@ -82,6 +26,8 @@ def _bool(b: bool) -> str:
 
 def _emit(args, lines, obj) -> int:
     if getattr(args, "format", "text") == "json":
+        import json
+
         print(json.dumps(obj, sort_keys=True))
     else:
         for line in lines:
@@ -97,10 +43,18 @@ def _parse_values(text: str, sep: str | None = None) -> list[int]:
         raise FormatError(f"expected {kind}-separated integers, got {text!r}") from None
 
 
-def _load_alphabet(args) -> alpha.Alphabet:
+def _read_text(path: str) -> str:
+    from pathlib import Path
+
+    return Path(path).read_text()
+
+
+def _load_alphabet(args):
+    from . import alphabet as alpha
+
     path = getattr(args, "alphabet_file", None)
     if path:
-        symbols = [line for line in Path(path).read_text().splitlines() if line]
+        symbols = [line for line in _read_text(path).splitlines() if line]
         return alpha.Alphabet(symbols)
     return alpha.upper_latin()
 
@@ -110,6 +64,8 @@ def _message_values(args, *, domain_top: int | None = None) -> list[int]:
     if getattr(args, "values", None) is not None:
         return _parse_values(args.values)
     if getattr(args, "text", None) is not None:
+        from . import alphabet as alpha
+
         ab = _load_alphabet(args)
         if args.seed is not None and domain_top is not None:
             max_k = max(0, (domain_top - ab.cycle) // ab.cycle)
@@ -123,6 +79,8 @@ def _message_values(args, *, domain_top: int | None = None) -> list[int]:
 
 def _maybe_text(args, values: list[int], lines, obj):
     if getattr(args, "as_text", False):
+        from . import alphabet as alpha
+
         ab = _load_alphabet(args)
         text = alpha.decode(values, ab)
         return [text], {"text": text}
@@ -132,6 +90,8 @@ def _maybe_text(args, values: list[int], lines, obj):
 def _write_out(args, content: str):
     out = getattr(args, "out", None)
     if out:
+        from pathlib import Path
+
         Path(out).write_text(content if content.endswith("\n") else content + "\n")
 
 
@@ -140,6 +100,8 @@ def _write_out(args, content: str):
 
 
 def cmd_ring_check(args):
+    from .textio import parse_element
+
     elem = parse_element(args.element)
     obj = {"unit": elem.is_unit(), "nilpotent": elem.is_nilpotent()}
     line = f"unit={_bool(obj['unit'])} nilpotent={_bool(obj['nilpotent'])}"
@@ -150,17 +112,23 @@ def cmd_ring_check(args):
 
 
 def cmd_poly_check(args):
+    from .textio import parse_poly
+
     f = parse_poly(args.poly)
     obj = {"unit": f.is_unit(), "nilpotent": f.is_nilpotent()}
     return [f"unit={_bool(obj['unit'])} nilpotent={_bool(obj['nilpotent'])}"], obj
 
 
 def cmd_poly_irreducible(args):
+    from .textio import parse_poly
+
     result = parse_poly(args.poly).is_irreducible()
     return [_bool(result)], {"irreducible": result}
 
 
 def cmd_poly_factor(args):
+    from .textio import parse_poly, poly_body_text
+
     fac = parse_poly(args.poly).factor()
     lines = [f"unit={fac.unit.text()}"]
     lines += [f"factor={poly_body_text(f)}^{m}" for f, m in fac.factors]
@@ -172,6 +140,9 @@ def cmd_poly_factor(args):
 
 
 def cmd_poly_oracle(args):
+    from .poly import search_inverse
+    from .textio import parse_poly, poly_body_text
+
     g = search_inverse(parse_poly(args.poly), args.bound)
     if g is None:
         return ["none"], {"inverse": None}
@@ -179,6 +150,9 @@ def cmd_poly_oracle(args):
 
 
 def cmd_composite_check(args):
+    from .composite import CompositeElement, contains
+    from .textio import parse_tower_poly
+
     tower, f = parse_tower_poly(args.element)
     member = contains(tower, f)
     obj = {"member": member}
@@ -192,22 +166,33 @@ def cmd_composite_check(args):
 
 
 def cmd_composite_irreducible(args):
+    from .textio import parse_composite
+
     result = parse_composite(args.element).is_irreducible()
     return [_bool(result)], {"irreducible": result}
 
 
 def cmd_composite_factor(args):
+    from .composite import atomize
+    from .textio import parse_composite, poly_body_text
+
     atoms = atomize(parse_composite(args.element))
     lines = [f"atom={poly_body_text(a.poly)}" for a in atoms]
     return lines, {"atoms": [poly_body_text(a.poly) for a in atoms]}
 
 
 def cmd_composite_oracle(args):
+    from .composite import has_nontrivial_factorization
+    from .textio import parse_composite
+
     result = has_nontrivial_factorization(parse_composite(args.element))
     return [_bool(result)], {"factorizable": result}
 
 
 def cmd_composite_chain(args):
+    from .composite import divisor_chain
+    from .textio import parse_composite, poly_body_text
+
     chain = divisor_chain(parse_composite(args.element), args.max_steps)
     lines = [f"chain={poly_body_text(e.poly)}" for e in chain.elements]
     lines.append(f"terminated={_bool(chain.terminated)}")
@@ -218,17 +203,24 @@ def cmd_composite_chain(args):
 
 
 def cmd_monoid_contains(args):
+    from .textio import parse_monoid
+
     result = parse_monoid(args.monoid).contains(args.m)
     return [_bool(result)], {"member": result}
 
 
 def cmd_monoid_check(args):
+    from .textio import parse_monoid_element
+
     f = parse_monoid_element(args.element)
     obj = {"unit": f.is_unit(), "nilpotent": f.is_nilpotent()}
     return [f"unit={_bool(obj['unit'])} nilpotent={_bool(obj['nilpotent'])}"], obj
 
 
 def cmd_monoid_build(args):
+    from .monoid_domain import build_irreducible
+    from .textio import monoid_element_text, parse_monoid, parse_ring
+
     ring_part, sep, monoid_part = args.domain.partition(":")
     if not sep:
         raise FormatError(f"expected RING:MONOID, got {args.domain!r}")
@@ -247,33 +239,46 @@ def cmd_monoid_build(args):
 
 
 def cmd_monoid_oracle(args):
+    from .monoid_domain import is_irreducible_by_search
+    from .textio import parse_monoid_element
+
     f = parse_monoid_element(args.element)
     result = is_irreducible_by_search(f, args.exp_bound, args.coeff_bound)
     return [_bool(result)], {"irreducible": result}
 
 
 def cmd_ideal_mul(args):
+    from .textio import parse_ideal
+
     result = parse_ideal(args.left) * parse_ideal(args.right)
     return [repr(result)], {"ideal": repr(result)}
 
 
 def cmd_ideal_totient(args):
+    from .ideals import PrincipalIdeal, totient_ideal
+
     result = totient_ideal(PrincipalIdeal(args.p), PrincipalIdeal(args.q))
     return [repr(result)], {"ideal": repr(result)}
 
 
 def cmd_ideal_inverse(args):
+    from .ideals import PrincipalIdeal, inverse_ideal
+
     result = inverse_ideal(PrincipalIdeal(args.e), PrincipalIdeal(args.phi))
     return [repr(result)], {"ideal": repr(result)}
 
 
 def cmd_ideal_norm(args):
+    from .textio import parse_ideal
+
     n = parse_ideal(args.ideal).norm()
     text = "infinite" if n == float("inf") else str(n)
     return [text], {"norm": None if text == "infinite" else n}
 
 
 def cmd_ideal_contains(args):
+    from .textio import parse_ideal
+
     result = parse_ideal(args.left).contains(parse_ideal(args.right))
     return [_bool(result)], {"contains": result}
 
@@ -283,16 +288,22 @@ def cmd_ideal_contains(args):
 
 
 def _rsa_key(args):
+    from .ciphers.rsa_ideal import key_from_text, rsa_keygen
+    from .ideals import PrincipalIdeal
+
     if getattr(args, "key", None):
-        return _rsa.key_from_text(Path(args.key).read_text().strip())
+        return key_from_text(_read_text(args.key).strip())
     if args.p is None or args.q is None or args.e is None:
         raise ParameterError("need --key or all of --p/--q/--e")
     return rsa_keygen(PrincipalIdeal(args.p), PrincipalIdeal(args.q), PrincipalIdeal(args.e))
 
 
 def cmd_rsa_keygen(args):
+    from .ciphers.rsa_ideal import key_to_text, rsa_keygen
+    from .ideals import PrincipalIdeal
+
     key = rsa_keygen(PrincipalIdeal(args.p), PrincipalIdeal(args.q), PrincipalIdeal(args.e))
-    _write_out(args, _rsa.key_to_text(key))
+    _write_out(args, key_to_text(key))
     line = f"N={key.modulus!r} E={key.e!r} D={key.d!r}"
     return [line], {
         "N": repr(key.modulus),
@@ -303,6 +314,8 @@ def cmd_rsa_keygen(args):
 
 
 def cmd_rsa_encrypt(args):
+    from .ciphers.rsa_ideal import rsa_encrypt
+
     key = _rsa_key(args)
     values = _message_values(args, domain_top=key.phi.generator - 1)
     cipher = rsa_encrypt(values, key)
@@ -311,6 +324,8 @@ def cmd_rsa_encrypt(args):
 
 
 def cmd_rsa_decrypt(args):
+    from .ciphers.rsa_ideal import rsa_decrypt
+
     key = _rsa_key(args)
     values = rsa_decrypt(_parse_values(args.values), key)
     lines, obj = [" ".join(str(v) for v in values)], {"values": values}
@@ -318,6 +333,9 @@ def cmd_rsa_decrypt(args):
 
 
 def cmd_dh_run(args):
+    from .ciphers.diffie_hellman import DhParams, dh_exchange
+    from .ideals import PrincipalIdeal
+
     params = DhParams(PrincipalIdeal(args.p), PrincipalIdeal(args.g))
     ex = dh_exchange(params, args.a, args.b)
     if ex.shared_first != ex.shared_second:  # pragma: no cover - identity holds
@@ -335,6 +353,8 @@ def cmd_dh_run(args):
 
 
 def cmd_frac_encrypt(args):
+    from .ciphers.fractional import FractionalKey, frac_encrypt
+
     key = FractionalKey(args.alpha, args.k)
     values = [args.x] if args.x is not None else _parse_values(args.values)
     cipher = frac_encrypt(values, key)
@@ -342,6 +362,8 @@ def cmd_frac_encrypt(args):
 
 
 def cmd_frac_decrypt(args):
+    from .ciphers.fractional import FractionalKey, frac_decrypt
+
     key = FractionalKey(args.alpha, args.k)
     values = [args.y] if args.y is not None else _parse_values(args.values)
     plain = frac_decrypt(values, key)
@@ -349,20 +371,27 @@ def cmd_frac_decrypt(args):
 
 
 def cmd_zone_encrypt(args):
+    from .ciphers.zone import ZoneKey, pairs_to_text, zone_encrypt
+
     key = ZoneKey(args.p, args.q, args.k, args.zone_seed)
     pairs = zone_encrypt(_parse_values(args.values), key)
     return [pairs_to_text(pairs)], {"pairs": [list(p) for p in pairs]}
 
 
 def cmd_zone_decrypt(args):
+    from .ciphers.zone import ZoneKey, pairs_from_text, zone_decrypt
+
     key = ZoneKey(args.p, args.q, args.k, args.zone_seed)
     values = zone_decrypt(pairs_from_text(args.pairs), key)
     return [" ".join(str(v) for v in values)], {"values": values}
 
 
 def _compcipher_key(args):
+    from .ciphers.composite_cipher import parse_cipher_polynomial
+    from .textio import parse_key_record
+
     if getattr(args, "key", None):
-        fields = parse_key_record(Path(args.key).read_text(), "composite-cipher", ("F", "G"))
+        fields = parse_key_record(_read_text(args.key), "composite-cipher", ("F", "G"))
         return parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
     if args.f is None or args.g is None:
         raise ParameterError("need --key or both --f and --g")
@@ -370,6 +399,9 @@ def _compcipher_key(args):
 
 
 def cmd_compcipher_keygen(args):
+    from .ciphers.composite_cipher import composite_cipher_keygen
+    from .textio import key_record_text
+
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
     record = key_record_text(
@@ -380,6 +412,8 @@ def cmd_compcipher_keygen(args):
 
 
 def cmd_compcipher_encrypt(args):
+    from .ciphers.composite_cipher import composite_cipher_encrypt, composite_cipher_keygen
+
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
     values = _message_values(args, domain_top=fg.input_size - 1)
@@ -391,6 +425,12 @@ def cmd_compcipher_encrypt(args):
 
 
 def cmd_compcipher_decrypt(args):
+    from .ciphers.composite_cipher import (
+        CipherText,
+        composite_cipher_decrypt,
+        composite_cipher_keygen,
+    )
+
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
     values = composite_cipher_decrypt(CipherText.from_text(args.cipher), fg)
@@ -399,18 +439,24 @@ def cmd_compcipher_decrypt(args):
 
 
 def _monoidcipher_key(args):
+    from .ciphers.monoid_cipher import MonoidCipherKey, key_from_text
+
     if getattr(args, "key", None):
-        return _mc.key_from_text(Path(args.key).read_text().strip())
+        return key_from_text(_read_text(args.key).strip())
     if args.p is None or args.x is None or args.a is None:
         raise ParameterError("need --key or all of --p/--x/--a")
-    return _mc.MonoidCipherKey(args.p, args.x, tuple(_parse_values(args.a, ",")))
+    return MonoidCipherKey(args.p, args.x, tuple(_parse_values(args.a, ",")))
 
 
 def cmd_monoidcipher_keygen(args):
+    import random
+
+    from .ciphers.monoid_cipher import key_to_text, monoid_keygen
+
     if args.seed is None:
         raise ParameterError("keygen requires --seed for reproducibility")
     key = monoid_keygen(args.p, random.Random(args.seed), args.coeffs)
-    record = _mc.key_to_text(key)
+    record = key_to_text(key)
     _write_out(args, record)
     return [record], {
         "P": key.alphabet_size,
@@ -420,6 +466,8 @@ def cmd_monoidcipher_keygen(args):
 
 
 def cmd_monoidcipher_encrypt(args):
+    from .ciphers.monoid_cipher import monoid_encrypt
+
     key = _monoidcipher_key(args)
     values = _message_values(args, domain_top=key.alphabet_size - 2)
     cipher = monoid_encrypt(values, key)
@@ -427,6 +475,8 @@ def cmd_monoidcipher_encrypt(args):
 
 
 def cmd_monoidcipher_decrypt(args):
+    from .ciphers.monoid_cipher import monoid_decrypt
+
     key = _monoidcipher_key(args)
     values = monoid_decrypt(_parse_values(args.values), key)
     lines, obj = [" ".join(str(v) for v in values)], {"values": values}
@@ -438,6 +488,11 @@ def cmd_monoidcipher_decrypt(args):
 
 
 def cmd_exchange_run(args):
+    from .ciphers.composite_cipher import parse_cipher_polynomial
+    from .ciphers.diffie_hellman import DhParams
+    from .ideals import PrincipalIdeal
+    from .keyexchange import run_composite_agreement, run_dh
+
     if args.mode == "dh":
         if args.p is None or args.g is None:
             raise ParameterError("dh mode needs --p and --g")
@@ -463,7 +518,10 @@ def cmd_exchange_run(args):
 
 
 def cmd_exchange_replay(args):
-    text = Path(args.file).read_text()
+    from .ciphers.composite_cipher import parse_cipher_polynomial
+    from .keyexchange import parse_transcript_params, replay_composite_agreement, replay_dh
+
+    text = _read_text(args.file)
     protocol, _ = parse_transcript_params(text)
     if protocol == "dh":
         ok = replay_dh(

@@ -351,6 +351,8 @@ def divisor_chain(f: CompositeElement, max_steps: int) -> DivisorChain:
     Each step strictly drops the degree, which is the empirical witness
     for the ascending chain condition on principal ideals at this scale.
     """
+    if max_steps < 0:
+        raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
     f._require_fields("divisor chain")
     if f.is_zero() or f.is_unit():
         raise ParameterError("divisor chains are undefined for zero and units")

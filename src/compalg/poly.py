@@ -291,6 +291,8 @@ def search_inverse(f: Polynomial, degree_bound: int) -> Optional[Polynomial]:
     ring = f.ring
     if ring.size() is None:
         raise ParameterError(f"inverse search requires a finite ring, not {ring.name()}")
+    if degree_bound < 0:
+        raise ParameterError(f"degree_bound must be >= 0, got {degree_bound}")
     if degree_bound > INVERSE_SEARCH_MAX_BOUND:
         raise ParameterError(
             f"degree_bound {degree_bound} exceeds ceiling {INVERSE_SEARCH_MAX_BOUND}"

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import re
 
+# poly, composite, monoid_domain and ideals are imported by the parse
+# functions that build their objects, so the key-record codec the ciphers
+# use does not load them
 from .arith import factorize, is_prime
-from .composite import CompositeElement, Tower
 from .errors import FormatError, ParameterError
-from .ideals import PrincipalIdeal
-from .monoid_domain import MonoidElement, NumericalMonoid
-from .poly import Polynomial
 from .rings import (
     ExtensionField,
     Integers,
@@ -139,6 +138,8 @@ def _split_bracket_list(body: str) -> list[str]:
 
 def parse_poly(text: str) -> Polynomial:
     """RING:[c0,c1,...], little-endian."""
+    from .poly import Polynomial
+
     ring_part, sep, body = text.partition(":")
     if not sep:
         raise FormatError(f"expected RING:[coeffs], got {text!r}")
@@ -155,6 +156,8 @@ def poly_text(f: Polynomial) -> str:
 
 
 def parse_tower(text: str) -> Tower:
+    from .composite import Tower
+
     names = [part.strip() for part in text.split("<")]
     if len(names) < 2:
         raise FormatError(f"a tower needs at least two rings, got {text!r}")
@@ -169,6 +172,8 @@ def tower_text(tower: Tower) -> str:
 def parse_tower_poly(text: str) -> tuple[Tower, Polynomial]:
     """TOWER:[coeffs] as the tower and a polynomial over its top ring,
     without checking that the polynomial is a member."""
+    from .poly import Polynomial
+
     tower_part, sep, body = text.partition(":")
     if not sep or "<" not in tower_part:
         raise FormatError(f"expected TOWER:[coeffs], got {text!r}")
@@ -179,6 +184,8 @@ def parse_tower_poly(text: str) -> tuple[Tower, Polynomial]:
 
 def parse_composite(text: str) -> CompositeElement:
     """TOWER:[coeffs], e.g. F2<F4:[1,t]."""
+    from .composite import CompositeElement
+
     return CompositeElement(*parse_tower_poly(text))
 
 
@@ -187,6 +194,8 @@ def composite_text(e: CompositeElement) -> str:
 
 
 def parse_monoid(text: str) -> NumericalMonoid:
+    from .monoid_domain import NumericalMonoid
+
     text = text.strip()
     if not (text.startswith("M<") and text.endswith(">")):
         raise FormatError(f"expected M<gens>, got {text!r}")
@@ -203,6 +212,8 @@ def monoid_text(m: NumericalMonoid) -> str:
 
 def parse_monoid_element(text: str) -> MonoidElement:
     """RING:MONOID:{exp:coeff,...}, e.g. F5:M<2,3>:{2:1,3:4}."""
+    from .monoid_domain import MonoidElement
+
     ring_part, sep, rest = text.partition(":")
     if not sep:
         raise FormatError(f"expected RING:MONOID:{{terms}}, got {text!r}")
@@ -234,6 +245,8 @@ def monoid_element_text(e: MonoidElement) -> str:
 
 
 def parse_ideal(text: str) -> PrincipalIdeal:
+    from .ideals import PrincipalIdeal
+
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise FormatError(f"expected (n), got {text!r}")

@@ -280,6 +280,19 @@ def test_negative_monoid_member_is_a_parameter_error():
     _assert_clean_error(code, out, err, "ERR:parameter: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["composite", "chain", "F2<F4:[0,0,0,1]", "--max-steps", "-1"],
+        ["poly", "oracle", "F2:[1]", "--bound", "-1"],
+    ],
+    ids=["max-steps", "bound"],
+)
+def test_negative_cap_is_a_parameter_error(argv):
+    code, out, err = run_cli(argv)
+    _assert_clean_error(code, out, err, "ERR:parameter: ")
+
+
 def test_replaying_a_garbage_file_is_a_format_error(tmp_path):
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("not a transcript\nparam p=7\n")

@@ -254,6 +254,12 @@ def test_chain_rejects_units():
         divisor_chain(elem(T_F2F4, F4.one()), 5)
 
 
+def test_chain_rejects_a_negative_cap():
+    x_cubed = elem(T_F2F4, F4.zero(), F4.zero(), F4.zero(), F4.one())
+    with pytest.raises(ParameterError, match="max_steps"):
+        divisor_chain(x_cubed, -1)
+
+
 def test_every_chain_terminates_with_degree_descent():
     for f in all_elements(T_F2F4, 4):
         if f.is_zero() or f.is_unit():

@@ -136,6 +136,11 @@ def test_inverse_search_bound_ceiling():
         search_inverse(Polynomial(Z4, [1, 2]), 9)
 
 
+def test_inverse_search_rejects_a_negative_bound():
+    with pytest.raises(ParameterError, match="degree_bound"):
+        search_inverse(Polynomial(F2, [1]), -1)
+
+
 def test_inverse_search_requires_finite_ring():
     with pytest.raises(ParameterError):
         search_inverse(Polynomial(Integers(), [1]), 2)
