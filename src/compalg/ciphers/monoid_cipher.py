@@ -3,9 +3,11 @@
 Letters are exponents: d_i = a_i * X^(m_i) mod p with a secret base X
 and public per-position coefficients a_i. X is required to be a
 primitive root mod p so that every d_i * a_i^(-1) has a logarithm.
-Decryption runs baby-step giant-step, building the baby-step table once
-per (base, p) rather than once per letter; an exhaustive log is kept
-alongside as the verification oracle.
+Decryption runs Pohlig–Hellman, baby-step giant-step in each prime-order
+subgroup: one plan per (base, p) holds the base's order, its prime-power
+factors and a baby-step table per prime, so a letter pays only modular
+powers and walks of about sqrt(q) steps for each prime q dividing p-1.
+An exhaustive log is kept alongside as the verification oracle.
 """
 
 from __future__ import annotations
@@ -16,44 +18,97 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
-from ..arith import is_prime, is_primitive_root
+from ..arith import factorize, is_prime, is_primitive_root
 from ..errors import FormatError, ParameterError
 from ..textio import key_record_text, parse_key_record
 
 
-# A table holds isqrt(p-1)+1 entries, so the bound keeps a long-lived
-# process from holding one per prime it ever saw.
-@lru_cache(maxsize=16)
-def _baby_steps(base: int, p: int) -> tuple[dict[int, int], int, int]:
-    """Baby-step table {base^j: j} for j < m, with m = isqrt(p-1)+1 and the
-    giant stride base^(-m) mod p; built once per (base mod p, p).
-
-    Callers share the returned dict and must not mutate it.
-    """
-    m = isqrt(p - 1) + 1
+def _baby_steps(base: int, order: int, p: int) -> tuple[dict[int, int], int, int]:
+    """Baby-step table {base^j: j} for j < m, with m = isqrt(order-1)+1 and the
+    giant stride base^(-m) mod p, for a base of the given order mod p."""
+    m = isqrt(order - 1) + 1
     baby = {}
     cur = 1
     for j in range(m):
-        baby.setdefault(cur, j)
+        baby[cur] = j
         cur = cur * base % p
-    return baby, m, pow(pow(base, m, p), -1, p)
+    return baby, m, pow(cur, -1, p)
+
+
+# A plan holds isqrt(q-1)+1 table entries per prime q of the base's order,
+# so the bound keeps a long-lived process from holding one per key it ever saw.
+@lru_cache(maxsize=16)
+def _plan(base: int, p: int) -> tuple[int, tuple[tuple, ...]]:
+    """Pohlig–Hellman plan for logs to base (reduced mod p) modulo a prime p.
+
+    Returns the order n of the base and, for each prime power q^e exactly
+    dividing n, the tuple (q, e, cofactor n/q^e, base^(-n/q^e), CRT
+    coefficient, baby-step table, table length, giant stride), where the
+    table is that of base^(n/q), which has order q. Callers share the
+    tables and must not mutate them.
+    """
+    if not is_prime(p):
+        raise ParameterError(f"{p} is not prime")
+    if base == 0:
+        return 1, ()  # 1 = 0^0 is the only unit among the powers of 0
+    exponents = factorize(p - 1)
+    n = p - 1
+    for q in exponents:
+        while exponents[q] and pow(base, n // q, p) == 1:
+            n //= q
+            exponents[q] -= 1
+    parts = []
+    for q, e in exponents.items():
+        if e:
+            cofactor = n // q**e
+            crt = cofactor * pow(cofactor, -1, q**e) % n
+            parts.append((q, e, cofactor, pow(base, -cofactor, p), crt,
+                          *_baby_steps(pow(base, n // q, p), q, p)))
+    return n, tuple(parts)
 
 
 def discrete_log_bsgs(base: int, target: int, p: int) -> int:
-    """Smallest m >= 0 with base^m = target mod p, by baby-step giant-step."""
-    base %= p
+    """Smallest m >= 0 with base^m = target mod a prime p, for a target prime to p.
+
+    Pohlig–Hellman (IEEE Trans. IT 24, 1978): the log modulo each prime
+    power q^e of the base's order n is found digit by digit, each digit by
+    baby-step giant-step in the subgroup of order q, and the residues are
+    joined by the CRT into [0, n). Raises ``ParameterError`` for a p that is
+    not prime, a target that is 0 mod p, or a target outside the powers of
+    the base.
+    """
+    # p = 0 goes on to the plan's primality check, not to a ZeroDivisionError
+    n, parts = _plan(base % p if p else base, p)
     target %= p
     if target == 0:
         raise ParameterError("discrete log of 0 does not exist")
-    if p == 2:
-        return 0
-    baby, m, giant = _baby_steps(base, p)
-    cur = target
-    for i in range(m + 1):
-        if cur in baby:
-            return (i * m + baby[cur]) % (p - 1)
-        cur = cur * giant % p
-    raise ParameterError(f"{target} is not a power of {base} mod {p}")
+    # every unit has target^(p-1) = 1, so only a base of smaller order can miss
+    if n != p - 1 and pow(target, n, p) != 1:
+        raise ParameterError(f"{target} is not a power of {base % p} mod {p}")
+    log = 0
+    for q, e, cofactor, inverse, crt, baby, m, giant in parts:
+        # h = g^x for g = base^cofactor, of order q^e; the base-q digits of
+        # x come low first, each a walk in the subgroup of order q. The
+        # target is a power of the base, so every walk stays in that
+        # subgroup and ends within m giant steps, as m*m >= q.
+        h = pow(target, cofactor, p)
+        x, weight = 0, 1
+        for k in range(e - 1, 0, -1):
+            cur = pow(h, q**k, p)
+            i = 0
+            while cur not in baby:
+                cur = cur * giant % p
+                i += 1
+            digit = (i * m + baby[cur]) * weight
+            h = h * pow(inverse, digit, p) % p
+            x += digit
+            weight *= q
+        i = 0
+        while h not in baby:
+            h = h * giant % p
+            i += 1
+        log += (x + (i * m + baby[h]) * weight) * crt
+    return log % n
 
 
 def discrete_log_exhaustive(base: int, target: int, p: int) -> int:

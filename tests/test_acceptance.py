@@ -337,7 +337,7 @@ def test_criterion_8_discrete_log_oracle_equivalence():
             targets += 1
     elapsed = time.time() - start
     assert elapsed < 120, f"runtime {elapsed:.1f}s exceeds 120s"
-    _report(8, "baby-step giant-step = exhaustive log", f"{targets} targets, {elapsed:.1f}s")
+    _report(8, "Pohlig–Hellman log = exhaustive log", f"{targets} targets, {elapsed:.1f}s")
 
 
 def test_criterion_9_divisor_chain_termination():

@@ -380,13 +380,86 @@ def test_monoid_cipher_round_trip_random_keys():
         assert monoid_decrypt(monoid_encrypt(msgs, key), key) == msgs
 
 
-def test_bsgs_matches_exhaustive_on_small_primes():
-    for p in (3, 5, 7, 11, 13, 29, 97):
-        from compalg.arith import smallest_primitive_root
+def _log_or_error(dlog, base, target, p):
+    try:
+        return dlog(base, target, p)
+    except ParameterError:
+        return ParameterError
 
-        g = smallest_primitive_root(p)
-        for target in range(1, p):
-            assert discrete_log_bsgs(g, target, p) == discrete_log_exhaustive(g, target, p)
+
+def _exhaustive_logs(base, p):
+    """discrete_log_exhaustive(base, t, p) for every t in [0, p) from one walk:
+    the first exponent in [0, p-2] that hits t wins, and a t the walk misses
+    raises."""
+    logs = {}
+    cur = 1
+    for m in range(p - 1):
+        logs.setdefault(cur, m)
+        cur = cur * base % p
+    return [logs.get(t, ParameterError) for t in range(p)]
+
+
+def test_bsgs_matches_exhaustive_on_small_primes():
+    # every base, primitive root or not, and every target below 300; the
+    # one-walk table stands in for discrete_log_exhaustive, which is checked
+    # against it at two random targets per base
+    rng = random.Random(20)
+    for p in range(2, 300):
+        if not is_prime(p):
+            continue
+        for g in range(1, p):
+            expected = _exhaustive_logs(g, p)
+            for t in rng.sample(range(p), min(p, 2)):
+                assert _log_or_error(discrete_log_exhaustive, g, t, p) == expected[t], (g, t, p)
+            for t in range(p):
+                assert _log_or_error(discrete_log_bsgs, g, t, p) == expected[t], (g, t, p)
+
+
+def test_bsgs_matches_exhaustive_where_p_minus_1_has_a_high_power_of_2():
+    # 640 = 2^7 * 5 and 768 = 2^8 * 3: up to eight base-2 digits per log
+    # (257, with 256 = 2^8, is among the primes below 300 above)
+    rng = random.Random(21)
+    for p in (641, 769):
+        for g in range(1, p):
+            for t in rng.sample(range(p), 16):
+                assert _log_or_error(discrete_log_bsgs, g, t, p) == \
+                    _log_or_error(discrete_log_exhaustive, g, t, p), (g, t, p)
+
+
+def test_bsgs_round_trips_at_the_benchmark_primes():
+    # 999983 - 1 = 2 * 79 * 6329, 1000003 - 1 = 2 * 3 * 166667,
+    # 1000033 - 1 = 2^5 * 3 * 11 * 947
+    rng = random.Random(22)
+    for p in (999983, 1000003, 1000033):
+        key = monoid_keygen(p, rng, 8)
+        msgs = [rng.randrange(p - 1) for _ in range(200)]
+        cipher = monoid_encrypt(msgs, key)
+        assert monoid_decrypt(cipher, key) == msgs
+        for i in rng.sample(range(len(msgs)), 3):
+            a = key.coefficients[i % len(key.coefficients)]
+            target = cipher[i] * pow(a, -1, p) % p
+            assert discrete_log_exhaustive(key.base, target, p) == msgs[i]
+
+
+def test_bsgs_base_divisible_by_p_matches_exhaustive():
+    # 0^0 = 1 is the only power of a base 0 mod p a unit target can reach
+    for p in (2, 3, 5, 29, 97):
+        for g in (0, p, 2 * p):
+            for t in range(1, p):
+                assert _log_or_error(discrete_log_bsgs, g, t, p) == \
+                    _log_or_error(discrete_log_exhaustive, g, t, p), (g, t, p)
+    assert discrete_log_bsgs(29, 1, 29) == 0
+    assert discrete_log_bsgs(58, 1, 29) == 0
+    with pytest.raises(ParameterError, match="5 is not a power of 0 mod 29"):
+        discrete_log_bsgs(0, 5, 29)
+
+
+def test_bsgs_rejects_a_modulus_that_is_not_prime():
+    for p in (0, 1, 4, 9, 15, 21, 25, 27, 33):
+        for g in range(max(p, 2)):
+            for t in range(max(p, 2)):
+                with pytest.raises(ParameterError):
+                    discrete_log_bsgs(g, t, p)
 
 
 def test_bsgs_interleaved_over_primes_and_bases():
@@ -403,16 +476,16 @@ def test_bsgs_interleaved_over_primes_and_bases():
         assert discrete_log_bsgs(g, target, p) == discrete_log_exhaustive(g, target, p), (g, target, p)
 
 
-def test_monoid_decrypt_builds_one_baby_step_table_per_key():
-    from compalg.ciphers.monoid_cipher import _baby_steps
+def test_monoid_decrypt_builds_one_dlog_plan_per_key():
+    from compalg.ciphers.monoid_cipher import _plan
 
     rng = random.Random(19)
     key = monoid_keygen(1000003, rng, 8)
     msgs = [rng.randrange(key.alphabet_size - 1) for _ in range(50)]
     cipher = monoid_encrypt(msgs, key)
-    _baby_steps.cache_clear()
+    _plan.cache_clear()
     assert monoid_decrypt(cipher, key) == msgs
-    info = _baby_steps.cache_info()
+    info = _plan.cache_info()
     assert (info.misses, info.hits) == (1, 49)
 
 
