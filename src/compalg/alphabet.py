@@ -10,6 +10,7 @@ identity for every representative picker.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .arith import is_prime
@@ -22,28 +23,21 @@ DEFAULT_CEILING_FACTOR = 1 << 16
 Picker = Callable[[int, int], int]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Alphabet:
     """Ordered distinct symbols; values 0..cycle-1 are bijective with them."""
 
-    __slots__ = ("symbols", "cycle")
+    symbols: tuple[str, ...]
+    cycle: int = field(init=False, compare=False)
 
-    def __init__(self, symbols: Iterable[str]):
-        syms = tuple(symbols)
+    def __post_init__(self):
+        syms = tuple(self.symbols)
         if not syms:
             raise ParameterError("alphabet must not be empty")
         if len(set(syms)) != len(syms):
             raise ParameterError("alphabet symbols must be distinct")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "cycle", len(syms))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Alphabet is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
 
     def __len__(self):
         return self.cycle

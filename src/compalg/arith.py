@@ -7,6 +7,8 @@ reproducible rather than probabilistic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ParameterError
 
 # Witnesses proving Miller-Rabin deterministic for n < 3.3 * 10**24.
@@ -60,6 +62,12 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of n >= 1, ascending; factorized once per n."""
+    return tuple(factorize(n))
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     small, large = [], []
@@ -80,7 +88,7 @@ def is_primitive_root(g: int, p: int) -> bool:
     g %= p
     if g == 0:
         return False
-    for q in factorize(p - 1):
+    for q in prime_factors(p - 1):
         if pow(g, (p - 1) // q, p) == 1:
             return False
     return True

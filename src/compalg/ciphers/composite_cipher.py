@@ -150,22 +150,20 @@ def cipher_sum(first: LetterCipher, then: LetterCipher) -> LetterCipher:
 # cipher polynomials
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CipherPolynomial:
     """Coefficient list of letter ciphers, index = degree."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[LetterCipher, ...]
 
-    def __init__(self, coeffs: Sequence[LetterCipher]):
-        coeffs = tuple(coeffs)
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ParameterError("a cipher polynomial needs at least one coefficient")
         size = coeffs[0].input_size
         if any(c.input_size != size for c in coeffs):
             raise ParameterError("all coefficients must share one input alphabet")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CipherPolynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -178,12 +176,6 @@ class CipherPolynomial:
     @property
     def block_length(self) -> int:
         return self.degree + 1
-
-    def __eq__(self, other):
-        return isinstance(other, CipherPolynomial) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash(self.descriptor())
 
     def descriptor(self) -> str:
         return f"poly[{','.join(c.descriptor() for c in self.coeffs)}]"

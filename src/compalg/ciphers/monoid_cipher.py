@@ -112,9 +112,12 @@ def discrete_log_bsgs(base: int, target: int, p: int) -> int:
 
 
 def discrete_log_exhaustive(base: int, target: int, p: int) -> int:
-    """Reference oracle: walk all powers of the base."""
+    """Reference oracle: walk all powers of the base. Like discrete_log_bsgs,
+    raises ``ParameterError`` for a target that is 0 mod p."""
     base %= p
     target %= p
+    if target == 0:
+        raise ParameterError("discrete log of 0 does not exist")
     cur = 1
     for m in range(p - 1 if p > 2 else 1):
         if cur == target:

@@ -28,10 +28,6 @@ class RsaIdealKey:
     d: PrincipalIdeal
     phi: PrincipalIdeal
 
-    def max_message(self) -> int:
-        """Messages must lie in [0, phi)."""
-        return self.phi.generator - 1
-
 
 def rsa_keygen(p: PrincipalIdeal, q: PrincipalIdeal, e: PrincipalIdeal) -> RsaIdealKey:
     """Validate parameters and derive d with e*d = 1 mod phi.

@@ -19,7 +19,7 @@ acceptance test (the cofactor respects the levels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import CeilingError, MembershipError, ParameterError
@@ -31,13 +31,16 @@ SEARCH_MAX_FIELD_SIZE = 9
 SEARCH_MAX_DEGREE = 4
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Tower:
     """Descriptor for A0 < ... < A(n-1) < B with declared embeddings."""
 
-    __slots__ = ("levels", "top", "_level_values")
+    levels: tuple[Ring, ...]
+    top: Ring
+    _level_values: dict = field(default_factory=dict, init=False, compare=False)
 
-    def __init__(self, levels, top: Ring):
-        levels = tuple(levels)
+    def __post_init__(self):
+        levels, top = tuple(self.levels), self.top
         if not levels:
             raise ParameterError("a tower needs at least one level")
         for lo, hi in zip(levels, levels[1:] + (top,)):
@@ -55,11 +58,6 @@ class Tower:
                     f"infinite proper level {lvl.name()} is not supported"
                 )
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "_level_values", {})
-
-    def __setattr__(self, *_):
-        raise AttributeError("Tower is immutable")
 
     @property
     def depth(self) -> int:
@@ -68,16 +66,6 @@ class Tower:
     @property
     def fields_mode(self) -> bool:
         return all(r.is_field for r in self.levels) and self.top.is_field
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tower)
-            and self.levels == other.levels
-            and self.top == other.top
-        )
-
-    def __hash__(self):
-        return hash((self.levels, self.top))
 
     def __repr__(self):
         return "<".join(r.name() for r in self.levels + (self.top,))
@@ -124,12 +112,15 @@ def contains(tower: Tower, f: Polynomial) -> bool:
     return f.ring == tower.top and tower._first_outside(f._values) is None
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CompositeElement:
     """An element of the tower-constrained subring; membership checked at init."""
 
-    __slots__ = ("tower", "poly")
+    tower: Tower
+    poly: Polynomial
 
-    def __init__(self, tower: Tower, f: Polynomial):
+    def __post_init__(self):
+        tower, f = self.tower, self.poly
         if f.ring != tower.top:
             raise MembershipError(
                 f"polynomial over {f.ring.name()} does not live over {tower.top.name()}"
@@ -140,11 +131,6 @@ class CompositeElement:
                 f"coefficient of X^{i} ({f.coeff(i).text()}) is outside level "
                 f"{i} ({tower.levels[i].name()})"
             )
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "poly", f)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CompositeElement is immutable")
 
     @classmethod
     def make(cls, tower: Tower, coeffs) -> "CompositeElement":
@@ -155,16 +141,6 @@ class CompositeElement:
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompositeElement)
-            and self.tower == other.tower
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.tower, self.poly))
 
     def __repr__(self):
         return f"{self.tower!r}:[{','.join(map(self.tower.top.value_text, self.poly._values))}]"

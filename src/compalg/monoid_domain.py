@@ -24,7 +24,7 @@ class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional
 
@@ -38,26 +38,19 @@ from .errors import (
 from .rings import Integers, Ring, RingElement, dense_find_divisor
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class NumericalMonoid:
     """Submonoid of (N0, +) generated by finitely many positive integers."""
 
-    __slots__ = ("generators", "_apery")
+    generators: tuple[int, ...]
+    # Apery set, built by the first membership query m >= g1
+    _apery: Optional[list] = field(default=None, init=False, compare=False)
 
-    def __init__(self, generators: Iterable[int]):
-        gens = sorted(set(int(g) for g in generators))
+    def __post_init__(self):
+        gens = sorted(set(int(g) for g in self.generators))
         if not gens or gens[0] <= 0:
             raise ParameterError("generators must be positive integers")
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_apery", None)  # built by the first m >= g1
-
-    def __setattr__(self, *_):
-        raise AttributeError("NumericalMonoid is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, NumericalMonoid) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
 
     def __repr__(self):
         return f"M<{','.join(str(g) for g in self.generators)}>"
@@ -123,11 +116,14 @@ def _apery_set(gens: tuple[int, ...]) -> list[Optional[int]]:
     return least
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MonoidElement:
     """Sparse element of B[M]: finitely many terms coeff * X^exponent, kept
     as (exponent, canonical value) pairs ascending by exponent."""
 
-    __slots__ = ("ring", "monoid", "_values")
+    ring: Ring
+    monoid: NumericalMonoid
+    _values: tuple
 
     def __init__(self, ring: Ring, monoid: NumericalMonoid, terms):
         if isinstance(terms, dict):
@@ -147,23 +143,9 @@ class MonoidElement:
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "_values", tuple(sorted(nonzero)))
 
-    def __setattr__(self, *_):
-        raise AttributeError("MonoidElement is immutable")
-
     @property
     def terms(self) -> tuple[tuple[int, RingElement], ...]:
         return tuple((e, RingElement(self.ring, v)) for e, v in self._values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonoidElement)
-            and self.ring == other.ring
-            and self.monoid == other.monoid
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.monoid, self._values))
 
     def __repr__(self):
         body = ",".join(f"{e}:{self.ring.value_text(v)}" for e, v in self._values)

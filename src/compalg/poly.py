@@ -23,7 +23,6 @@ from .rings import (
     RingElement,
     dense_add,
     dense_divmod,
-    dense_eval,
     dense_is_irreducible,
     dense_mul,
     dense_neg,
@@ -34,10 +33,12 @@ from .rings import (
 INVERSE_SEARCH_MAX_BOUND = 8
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
     """Immutable dense polynomial; _values little-endian with no trailing zeros."""
 
-    __slots__ = ("ring", "_values")
+    ring: Ring
+    _values: tuple
 
     def __init__(self, ring: Ring, coeffs: Sequence = ()):
         values = []
@@ -61,9 +62,6 @@ class Polynomial:
         object.__setattr__(f, "_values", tuple(values))
         return f
 
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
-
     # basic structure ------------------------------------------------
     @property
     def coeffs(self) -> tuple[RingElement, ...]:
@@ -86,16 +84,6 @@ class Polynomial:
 
     def leading(self) -> RingElement:
         return self.coeff(self.degree())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self._values))
 
     def __repr__(self):
         return f"{self.ring.name()}:[{','.join(map(self.ring.value_text, self._values))}]"
@@ -133,32 +121,14 @@ class Polynomial:
     def scale(self, c: RingElement) -> "Polynomial":
         return self * Polynomial(self.ring, [c])
 
-    def shift(self, r: int) -> "Polynomial":
-        """Multiply by X^r."""
-        if self.is_zero():
-            return self
-        return self._from_values(self.ring, (self.ring.zero_value,) * r + self._values)
-
-    def evaluate(self, x: RingElement) -> RingElement:
-        """Horner evaluation at x."""
-        if x.ring != self.ring:
-            raise RingMismatchError("evaluation point ring mismatch")
-        return RingElement(self.ring, dense_eval(self.ring, self._values, x.value))
-
     def __divmod__(self, other):
         """Long division; requires an invertible leading coefficient in the divisor."""
         self._check(other)
         q, r = dense_divmod(self.ring, self._values, other._values)
         return self._from_values(self.ring, q), self._from_values(self.ring, r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero()
 
     def monic(self) -> "Polynomial":
         if self.is_zero():

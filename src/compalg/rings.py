@@ -4,6 +4,7 @@ kernel that runs over them.
 Four descriptor kinds cover everything the rest of the package needs:
 the integers Z, modular integers Z/n, prime fields Fp, and extension
 fields F(p^k) presented as Fp[t] modulo a stored monic irreducible.
+A prime field is Z/p under its field name: it shares Z/n's arithmetic.
 Descriptors and elements are immutable; arithmetic never mutates, so
 values are safe to share freely.
 
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
-from .arith import factorize, is_prime
+from .arith import is_prime, prime_factors
 from .errors import (
     EmbeddingError,
     NotAUnitError,
@@ -163,6 +164,8 @@ def dense_find_divisor(ring: "Ring", f, pool_lists, accept) -> Optional[tuple]:
 def dense_is_irreducible(ring: "Ring", f) -> bool:
     """Trial division of f (degree >= 1, over a finite field) by every
     monic polynomial of degree 1 to deg(f)/2."""
+    if len(f) == 2:
+        return True  # degree 1 has no candidate divisors: skip listing the field
     values = tuple(ring.element_values())
     monic = ([values] * d + [(ring.one_value,)] for d in range(1, (len(f) - 1) // 2 + 1))
     return dense_find_divisor(ring, f, monic, lambda q: True) is None
@@ -329,13 +332,14 @@ class IntegersMod(Ring):
         return gcd(a, self.n) == 1
 
     def inverse_value(self, a):
-        if gcd(a, self.n) != 1:
-            raise NotAUnitError(f"{a} is not a unit of {self.name()}")
-        return pow(a, -1, self.n)
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:  # a shares a factor with n
+            raise NotAUnitError(f"{a} is not a unit of {self.name()}") from None
 
     def is_nilpotent_value(self, a):
         # nilpotent iff every prime of n divides a
-        return all(a % p == 0 for p in _prime_factors_cached(self.n))
+        return all(a % p == 0 for p in prime_factors(self.n))
 
     def size(self):
         return self.n
@@ -353,59 +357,25 @@ class IntegersMod(Ring):
         return a
 
 
-@lru_cache(maxsize=None)
-def _prime_factors_cached(n: int) -> tuple[int, ...]:
-    return tuple(factorize(n))
-
-
 @dataclass(frozen=True, repr=False)
-class PrimeField(Ring):
-    """Fp for prime p."""
+class PrimeField(IntegersMod):
+    """Fp for prime p: Z/p with its field name."""
 
-    p: int
     is_field = True
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"F{self.p}: {self.p} is not prime")
+        if not is_prime(self.n):
+            raise ParameterError(f"F{self.n}: {self.n} is not prime")
 
-    def canon(self, value):
-        return int(value) % self.p
-
-    def add_values(self, a, b):
-        return (a + b) % self.p
-
-    def mul_values(self, a, b):
-        return (a * b) % self.p
-
-    def neg_value(self, a):
-        return (-a) % self.p
-
-    def is_unit_value(self, a):
-        return a != 0
-
-    def inverse_value(self, a):
-        if a == 0:
-            raise NotAUnitError(f"0 is not a unit of {self.name()}")
-        return pow(a, -1, self.p)
+    @property
+    def p(self) -> int:
+        return self.n
 
     def is_nilpotent_value(self, a):
         return a == 0
 
-    def size(self):
-        return self.p
-
-    def is_domain(self):
-        return True
-
-    def element_values(self):
-        return range(self.p)
-
     def name(self):
-        return f"F{self.p}"
-
-    def value_sort_key(self, a):
-        return a
+        return f"F{self.n}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -431,7 +401,7 @@ class ExtensionField(Ring):
             raise ParameterError("modulus must be monic of degree >= 1")
         if any(not (0 <= c < self.p) for c in m):
             raise ParameterError("modulus coefficients must be canonical in [0, p)")
-        if len(m) > 2 and not dense_is_irreducible(self.base, m):
+        if not dense_is_irreducible(self.base, m):
             raise ParameterError(
                 f"modulus {_fp_text(m)} is reducible over F{self.p}"
             )

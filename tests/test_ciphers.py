@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from compalg import FormatError, ParameterError, ideal
-from compalg.arith import is_prime
+from compalg.arith import is_prime, is_primitive_root
 from compalg.ciphers import (
     AffineCipher,
     DhParams,
@@ -445,7 +445,7 @@ def test_bsgs_base_divisible_by_p_matches_exhaustive():
     # 0^0 = 1 is the only power of a base 0 mod p a unit target can reach
     for p in (2, 3, 5, 29, 97):
         for g in (0, p, 2 * p):
-            for t in range(1, p):
+            for t in range(p):
                 assert _log_or_error(discrete_log_bsgs, g, t, p) == \
                     _log_or_error(discrete_log_exhaustive, g, t, p), (g, t, p)
     assert discrete_log_bsgs(29, 1, 29) == 0
@@ -487,6 +487,24 @@ def test_monoid_decrypt_builds_one_dlog_plan_per_key():
     assert monoid_decrypt(cipher, key) == msgs
     info = _plan.cache_info()
     assert (info.misses, info.hits) == (1, 49)
+
+
+def test_monoid_keygen_factors_p_minus_1_once(monkeypatch):
+    from compalg import arith
+
+    calls = []
+    factorize = arith.factorize
+
+    def counting_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counting_factorize)
+    arith.prime_factors.cache_clear()
+    rng = random.Random(23)
+    keys = [monoid_keygen(1009, rng, 4) for _ in range(50)]
+    assert all(is_primitive_root(key.base, 1009) for key in keys)
+    assert calls == [1008]
 
 
 def test_monoid_decrypt_rejects_out_of_range_ciphertext():

@@ -318,6 +318,25 @@ def test_field_element_with_a_huge_exponent():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "irreducible", "F1000000007:[1,1]"],
+        ["composite", "irreducible", "F1000000007<F1000000007:[1,1]"],
+    ],
+)
+def test_degree_one_over_a_large_prime_field_is_irreducible_at_once(argv):
+    """Degree 1 has no candidate divisor, so the field's 10^9 values are never listed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (0, "true\n"), done.stderr
+
+
+@pytest.mark.parametrize(
     "element,code",
     [
         ("F(4)=F2[t]/(t^41+t^3+1):t", "format"),  # irreducible: trial division takes minutes
