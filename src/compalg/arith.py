@@ -85,6 +85,11 @@ def is_primitive_root(g: int, p: int) -> bool:
     """True when g generates the multiplicative group mod prime p."""
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
+    return generates_units(g, p)
+
+
+def generates_units(g: int, p: int) -> bool:
+    """``is_primitive_root`` for a p the caller has already checked is prime."""
     g %= p
     if g == 0:
         return False

@@ -244,9 +244,16 @@ def composite_cipher_encrypt(values: Sequence[int], key: CipherPolynomial) -> Ci
 
 
 def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[int]:
-    """Invert blockwise, consuming each coefficient's arity, then strip padding."""
+    """Invert blockwise, consuming each coefficient's arity, then strip padding.
+
+    Every ciphertext letter must lie in [0, s): the letter maps reduce mod s,
+    so a value outside that range would decrypt as its residue."""
     per_block = sum(c.arity for c in key.coeffs)
     stream = list(cipher.values)
+    size = key.input_size
+    for i, y in enumerate(stream):
+        if not 0 <= y < size:
+            raise ParameterError(f"ciphertext value {y} at position {i} is outside [0, {size})")
     if len(stream) % per_block:
         raise ParameterError(
             f"ciphertext length {len(stream)} is not a multiple of {per_block}"

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
-from ..arith import factorize, is_prime, is_primitive_root
+from ..arith import factorize, generates_units, is_prime
 from ..errors import FormatError, ParameterError
 from ..textio import key_record_text, parse_key_record
 
@@ -142,7 +142,7 @@ class MonoidCipherKey:
             raise ParameterError(f"alphabet size {p} must be prime")
         if not 2 <= self.base <= p - 1:
             raise ParameterError(f"base {self.base} must lie in [2, {p - 1}]")
-        if not is_primitive_root(self.base, p):
+        if not generates_units(self.base, p):
             raise ParameterError(f"base {self.base} is not a primitive root mod {p}")
         if not self.coefficients:
             raise ParameterError("need at least one coefficient")
@@ -158,7 +158,7 @@ def monoid_keygen(p: int, rng: random.Random, num_coefficients: int = 8) -> Mono
         raise ParameterError("alphabet size must be at least 5")
     while True:
         x = rng.randrange(2, p)
-        if is_primitive_root(x, p):
+        if generates_units(x, p):
             break
     coeffs = tuple(rng.randrange(1, p) for _ in range(num_coefficients))
     return MonoidCipherKey(p, x, coeffs)

@@ -1,10 +1,15 @@
 """Command-line surface for every operation in the package.
 
+The whole grammar is data: ``GROUPS`` maps each group to its help line,
+its examples and its verbs, each verb to its handler and the arguments
+it adds to ``COMMON``, and ``build_parser`` is one loop over that table.
+The test suite reads ``GROUPS`` too: it executes every example verbatim
+(output must match byte for byte) and checks every verb's usage line.
+
 Exit codes: 0 success, 1 domain and file errors (stderr line
 ``ERR:<code>: ...``, with code ``io`` for files), 2 usage errors. All
 randomness flows through explicit seed flags, so every command is
-reproducible; the examples shown in each subcommand's help are
-executed verbatim by the test suite and must match byte for byte.
+reproducible.
 """
 
 from __future__ import annotations
@@ -545,80 +550,62 @@ def cmd_exchange_replay(args):
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# command grammar: each argument is the flags and keywords of one add_argument
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--alphabet-file", default=None)
-    return common
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _epilog(examples: list[tuple[str, list[str]]]) -> str:
-    lines = ["examples:"]
-    for cmdline, outputs in examples:
-        lines.append(f"  $ {PROG} {cmdline}")
-        lines.extend(f"  {out}" for out in outputs)
-    return "\n".join(lines)
+def _ints(*flags, **kwargs):
+    return [_arg(flag, type=int, **kwargs) for flag in flags]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common()
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Exact algebra on tower-constrained polynomial subrings, "
-        "monoid domains, and the toy ciphers built on them.",
-    )
-    top = parser.add_subparsers(dest="group", required=True, metavar="SUBCOMMAND")
+COMMON = [
+    _arg("--format", choices=("text", "json"), default="text"),
+    *_ints("--seed"),
+    _arg("--alphabet-file"),
+]
 
-    def group(name, help_text, examples):
-        p = top.add_parser(
-            name,
-            help=help_text,
-            epilog=_epilog(examples),
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        return p.add_subparsers(dest="verb", required=True, metavar="VERB")
+_ELEMENT = [_arg("element")]
+_POLY = [_arg("poly")]
+_LEFT_RIGHT = [_arg("left"), _arg("right")]
+_VALUES = _arg("--values")
+_TEXT = _arg("--text")
+_AS_TEXT = _arg("--as-text", action="store_true")
+_OUT = _arg("--out")
+_RSA_KEY = [_arg("--key", help="key file from rsa keygen --out"), *_ints("--p", "--q", "--e"),
+            _VALUES]
+_MC_KEY = [_arg("--key"), *_ints("--p", "--x"), _arg("--a", help="comma-separated coefficients"),
+           _VALUES]
+_CC_KEY = [_arg("--f"), _arg("--g"), _arg("--key")]
+_ZONE_KEY = _ints("--p", "--q", "--k", required=True)
+_EXCHANGE = [*_ints("--a", "--b", "--seed-f", "--seed-s"), _arg("--f"), _arg("--g-poly")]
 
-    def verb(sub, name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    # ring --------------------------------------------------------------
-    ring = group(
-        "ring",
+# group: (help, examples shown in its --help, {verb: (handler, arguments)})
+GROUPS = {
+    "ring": (
         "unit/nilpotent checks on ring elements",
         [("ring check Z/12:6", ["unit=false nilpotent=true"])],
-    )
-    p = verb(ring, "check", cmd_ring_check)
-    p.add_argument("element", help="element as RING:VALUE, e.g. Z/12:6 or F4:1+t")
-
-    # poly --------------------------------------------------------------
-    polyg = group(
-        "poly",
+        {"check": (cmd_ring_check,
+                   [_arg("element", help="element as RING:VALUE, e.g. Z/12:6 or F4:1+t")])},
+    ),
+    "poly": (
         "polynomial predicates, factorization and the inverse-search oracle",
         [
             ("poly irreducible F2:[1,1,1]", ["true"]),
             ("poly factor F2:[0,0,1,1]", ["unit=1", "factor=[0,1]^2", "factor=[1,1]^1"]),
             ("poly oracle Z/4:[1,2] --bound 4", ["[1,2]"]),
         ],
-    )
-    p = verb(polyg, "check", cmd_poly_check)
-    p.add_argument("poly", help="polynomial as RING:[c0,c1,...]")
-    p = verb(polyg, "irreducible", cmd_poly_irreducible)
-    p.add_argument("poly")
-    p = verb(polyg, "factor", cmd_poly_factor)
-    p.add_argument("poly")
-    p = verb(polyg, "oracle", cmd_poly_oracle)
-    p.add_argument("poly")
-    p.add_argument("--bound", type=int, default=8, help="inverse degree bound")
-
-    # composite ----------------------------------------------------------
-    comp = group(
-        "composite",
+        {
+            "check": (cmd_poly_check, [_arg("poly", help="polynomial as RING:[c0,c1,...]")]),
+            "irreducible": (cmd_poly_irreducible, _POLY),
+            "factor": (cmd_poly_factor, _POLY),
+            "oracle": (cmd_poly_oracle,
+                       [*_POLY, *_ints("--bound", default=8, help="inverse degree bound")]),
+        },
+    ),
+    "composite": (
         "tower-constrained subring: membership, irreducibility, atoms, chains",
         [
             ("composite irreducible F2<F4:[0,t]", ["true"]),
@@ -628,52 +615,37 @@ def build_parser() -> argparse.ArgumentParser:
                 ["chain=[0,0,0,1]", "chain=[0,0,1]", "chain=[0,1]", "terminated=true"],
             ),
         ],
-    )
-    p = verb(comp, "check", cmd_composite_check)
-    p.add_argument("element", help="element as TOWER:[coeffs], e.g. F2<F4:[1,t]")
-    p = verb(comp, "irreducible", cmd_composite_irreducible)
-    p.add_argument("element")
-    p = verb(comp, "factor", cmd_composite_factor)
-    p.add_argument("element")
-    p = verb(comp, "oracle", cmd_composite_oracle)
-    p.add_argument("element")
-    p = verb(comp, "chain", cmd_composite_chain)
-    p.add_argument("element")
-    p.add_argument("--max-steps", type=int, default=16)
-
-    # monoid ---------------------------------------------------------------
-    mono = group(
-        "monoid",
+        {
+            "check": (cmd_composite_check,
+                      [_arg("element", help="element as TOWER:[coeffs], e.g. F2<F4:[1,t]")]),
+            "irreducible": (cmd_composite_irreducible, _ELEMENT),
+            "factor": (cmd_composite_factor, _ELEMENT),
+            "oracle": (cmd_composite_oracle, _ELEMENT),
+            "chain": (cmd_composite_chain, [*_ELEMENT, *_ints("--max-steps", default=16)]),
+        },
+    ),
+    "monoid": (
         "numerical-monoid membership and monoid-domain elements",
         [
             ("monoid contains M<2,3> 7", ["true"]),
-            (
-                "monoid build Z:M<2,3> --primes 2 --exponents 2,3",
-                ["Z:M<2,3>:{2:-1,3:2}"],
-            ),
-            (
-                "monoid oracle Z:M<2,3>:{2:-1,3:2} --exp-bound 6 --coeff-bound 4",
-                ["true"],
-            ),
+            ("monoid build Z:M<2,3> --primes 2 --exponents 2,3", ["Z:M<2,3>:{2:-1,3:2}"]),
+            ("monoid oracle Z:M<2,3>:{2:-1,3:2} --exp-bound 6 --coeff-bound 4", ["true"]),
         ],
-    )
-    p = verb(mono, "contains", cmd_monoid_contains)
-    p.add_argument("monoid", help="monoid as M<g1,g2,...>")
-    p.add_argument("m", type=int)
-    p = verb(mono, "check", cmd_monoid_check)
-    p.add_argument("element", help="element as RING:MONOID:{exp:coeff,...}")
-    p = verb(mono, "build", cmd_monoid_build)
-    p.add_argument("domain", help="RING:MONOID, e.g. Z:M<2,3>")
-    p.add_argument("--primes", required=True, help="comma-separated primes p1..p(r-1)")
-    p.add_argument("--exponents", required=True, help="comma-separated exponents m1..mr")
-    p = verb(mono, "oracle", cmd_monoid_oracle)
-    p.add_argument("element")
-    p.add_argument("--exp-bound", type=int, required=True)
-    p.add_argument("--coeff-bound", type=int, default=None)
-
-    # ideal ------------------------------------------------------------------
-    ide = group(
-        "ideal",
+        {
+            "contains": (cmd_monoid_contains,
+                         [_arg("monoid", help="monoid as M<g1,g2,...>"), *_ints("m")]),
+            "check": (cmd_monoid_check,
+                      [_arg("element", help="element as RING:MONOID:{exp:coeff,...}")]),
+            "build": (cmd_monoid_build, [
+                _arg("domain", help="RING:MONOID, e.g. Z:M<2,3>"),
+                _arg("--primes", required=True, help="comma-separated primes p1..p(r-1)"),
+                _arg("--exponents", required=True, help="comma-separated exponents m1..mr"),
+            ]),
+            "oracle": (cmd_monoid_oracle,
+                       [*_ELEMENT, *_ints("--exp-bound", required=True), *_ints("--coeff-bound")]),
+        },
+    ),
+    "ideal": (
         "principal-ideal arithmetic",
         [
             ("ideal mul (3) (5)", ["(15)"]),
@@ -681,105 +653,66 @@ def build_parser() -> argparse.ArgumentParser:
             ("ideal totient --p 3 --q 11", ["(20)"]),
             ("ideal contains (2) (6)", ["true"]),
         ],
-    )
-    p = verb(ide, "mul", cmd_ideal_mul)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = verb(ide, "totient", cmd_ideal_totient)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p = verb(ide, "inverse", cmd_ideal_inverse)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--phi", type=int, required=True)
-    p = verb(ide, "norm", cmd_ideal_norm)
-    p.add_argument("ideal")
-    p = verb(ide, "contains", cmd_ideal_contains)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    # rsa ----------------------------------------------------------------------
-    rsa = group(
-        "rsa",
+        {
+            "mul": (cmd_ideal_mul, _LEFT_RIGHT),
+            "totient": (cmd_ideal_totient, _ints("--p", "--q", required=True)),
+            "inverse": (cmd_ideal_inverse, _ints("--e", "--phi", required=True)),
+            "norm": (cmd_ideal_norm, [_arg("ideal")]),
+            "contains": (cmd_ideal_contains, _LEFT_RIGHT),
+        },
+    ),
+    "rsa": (
         "ideal-key multiplicative cipher: keygen, encrypt, decrypt",
         [
             ("rsa keygen --p 3 --q 11 --e 3", ["N=(33) E=(3) D=(7)"]),
             ("rsa encrypt --p 3 --q 11 --e 3 --values \"2 0\"", ["6 0"]),
             ("rsa decrypt --p 3 --q 11 --e 3 --values \"6 0\"", ["2 0"]),
         ],
-    )
-    p = verb(rsa, "keygen", cmd_rsa_keygen)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--out", help="write the full key record to this file")
-    for name, func in (("encrypt", cmd_rsa_encrypt), ("decrypt", cmd_rsa_decrypt)):
-        p = verb(rsa, name, func)
-        p.add_argument("--key", help="key file from rsa keygen --out")
-        p.add_argument("--p", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--e", type=int)
-        p.add_argument("--values")
-        if name == "encrypt":
-            p.add_argument("--text")
-        else:
-            p.add_argument("--as-text", action="store_true")
-
-    # dh ---------------------------------------------------------------------
-    dh = group(
-        "dh",
+        {
+            "keygen": (cmd_rsa_keygen, [
+                *_ints("--p", "--q", "--e", required=True),
+                _arg("--out", help="write the full key record to this file"),
+            ]),
+            "encrypt": (cmd_rsa_encrypt, [*_RSA_KEY, _TEXT]),
+            "decrypt": (cmd_rsa_decrypt, [*_RSA_KEY, _AS_TEXT]),
+        },
+    ),
+    "dh": (
         "shared-ideal derivation for two parties",
         [("dh run --p 7 --g 10 --a 3 --b 4", ["A=(2)", "B=(5)", "shared=(1)"])],
-    )
-    p = verb(dh, "run", cmd_dh_run)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    # frac --------------------------------------------------------------------
-    frac = group(
-        "frac",
+        {"run": (cmd_dh_run, _ints("--p", "--g", "--a", "--b", required=True))},
+    ),
+    "frac": (
         "multiplier cipher over a prime-length alphabet",
         [
             ("frac encrypt --alpha 29 --k 7 --x 5", ["6"]),
             ("frac decrypt --alpha 29 --k 7 --y 6", ["5"]),
         ],
-    )
-    p = verb(frac, "encrypt", cmd_frac_encrypt)
-    p.add_argument("--alpha", type=int, required=True, help="alphabet length, prime")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int)
-    p.add_argument("--values")
-    p = verb(frac, "decrypt", cmd_frac_decrypt)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--y", type=int)
-    p.add_argument("--values")
-
-    # zone ----------------------------------------------------------------------
-    zone = group(
-        "zone",
+        {
+            "encrypt": (cmd_frac_encrypt, [
+                *_ints("--alpha", required=True, help="alphabet length, prime"),
+                *_ints("--k", required=True), *_ints("--x"), _VALUES,
+            ]),
+            "decrypt": (cmd_frac_decrypt,
+                        [*_ints("--alpha", "--k", required=True), *_ints("--y"), _VALUES]),
+        },
+    ),
+    "zone": (
         "sub-alphabet zone cipher; ciphertext is zone:digit pairs",
         [
             ("zone encrypt --p 29 --q 5 --k 3 --values \"7 1\"", ["1:1 0:3"]),
             ("zone decrypt --p 29 --q 5 --k 3 --pairs \"1:1 0:3\"", ["7 1"]),
         ],
-    )
-    p = verb(zone, "encrypt", cmd_zone_encrypt)
-    for flag in ("--p", "--q", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--zone-seed", type=int, dest="zone_seed",
-                   help="mask zone labels with a shared seeded permutation")
-    p = verb(zone, "decrypt", cmd_zone_decrypt)
-    for flag in ("--p", "--q", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--zone-seed", type=int, dest="zone_seed")
-
-    # compcipher -----------------------------------------------------------------
-    cc = group(
-        "compcipher",
+        {
+            "encrypt": (cmd_zone_encrypt, [
+                *_ZONE_KEY, _arg("--values", required=True),
+                *_ints("--zone-seed", help="mask zone labels with a shared seeded permutation"),
+            ]),
+            "decrypt": (cmd_zone_decrypt,
+                        [*_ZONE_KEY, _arg("--pairs", required=True), *_ints("--zone-seed")]),
+        },
+    ),
+    "compcipher": (
         "block cipher keyed by a polynomial of letter ciphers",
         [
             (
@@ -795,28 +728,16 @@ def build_parser() -> argparse.ArgumentParser:
                 ["AB"],
             ),
         ],
-    )
-    p = verb(cc, "keygen", cmd_compcipher_keygen)
-    p.add_argument("--f", help="cipher polynomial, e.g. poly[aff(1,1,26)]")
-    p.add_argument("--g")
-    p.add_argument("--key")
-    p.add_argument("--out")
-    p = verb(cc, "encrypt", cmd_compcipher_encrypt)
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--key")
-    p.add_argument("--values")
-    p.add_argument("--text")
-    p = verb(cc, "decrypt", cmd_compcipher_decrypt)
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--key")
-    p.add_argument("--cipher", required=True)
-    p.add_argument("--as-text", action="store_true")
-
-    # monoidcipher ------------------------------------------------------------------
-    mc = group(
-        "monoidcipher",
+        {
+            "keygen": (cmd_compcipher_keygen, [
+                _arg("--f", help="cipher polynomial, e.g. poly[aff(1,1,26)]"), *_CC_KEY[1:], _OUT,
+            ]),
+            "encrypt": (cmd_compcipher_encrypt, [*_CC_KEY, _VALUES, _TEXT]),
+            "decrypt": (cmd_compcipher_decrypt,
+                        [*_CC_KEY, _arg("--cipher", required=True), _AS_TEXT]),
+        },
+    ),
+    "monoidcipher": (
         "exponent cipher over a prime alphabet (discrete-log hard to invert)",
         [
             (
@@ -826,29 +747,17 @@ def build_parser() -> argparse.ArgumentParser:
             ("monoidcipher encrypt --p 29 --x 2 --a 3 --values 7", ["7"]),
             ("monoidcipher decrypt --p 29 --x 2 --a 3 --values 7", ["7"]),
         ],
-    )
-    p = verb(mc, "keygen", cmd_monoidcipher_keygen)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--coeffs", type=int, default=8, help="coefficient count")
-    p.add_argument("--out")
-    for name, func in (
-        ("encrypt", cmd_monoidcipher_encrypt),
-        ("decrypt", cmd_monoidcipher_decrypt),
-    ):
-        p = verb(mc, name, func)
-        p.add_argument("--key")
-        p.add_argument("--p", type=int)
-        p.add_argument("--x", type=int)
-        p.add_argument("--a", help="comma-separated coefficients")
-        p.add_argument("--values")
-        if name == "encrypt":
-            p.add_argument("--text")
-        else:
-            p.add_argument("--as-text", action="store_true")
-
-    # exchange --------------------------------------------------------------------
-    exch = group(
-        "exchange",
+        {
+            "keygen": (cmd_monoidcipher_keygen, [
+                *_ints("--p", required=True),
+                *_ints("--coeffs", default=8, help="coefficient count"),
+                _OUT,
+            ]),
+            "encrypt": (cmd_monoidcipher_encrypt, [*_MC_KEY, _TEXT]),
+            "decrypt": (cmd_monoidcipher_decrypt, [*_MC_KEY, _AS_TEXT]),
+        },
+    ),
+    "exchange": (
         "two-party protocol harness: run and replay transcripts",
         [
             (
@@ -864,27 +773,47 @@ def build_parser() -> argparse.ArgumentParser:
                 ],
             ),
         ],
-    )
-    p = verb(exch, "run", cmd_exchange_run)
-    p.add_argument("--mode", choices=("dh", "compcipher"), default="dh")
-    p.add_argument("--p", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--seed-f", type=int, dest="seed_f")
-    p.add_argument("--seed-s", type=int, dest="seed_s")
-    p.add_argument("--f")
-    p.add_argument("--g-poly", dest="g_poly")
-    p.add_argument("--out")
-    p = verb(exch, "replay", cmd_exchange_replay)
-    p.add_argument("file")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--seed-f", type=int, dest="seed_f")
-    p.add_argument("--seed-s", type=int, dest="seed_s")
-    p.add_argument("--f")
-    p.add_argument("--g-poly", dest="g_poly")
+        {
+            "run": (cmd_exchange_run, [
+                _arg("--mode", choices=("dh", "compcipher"), default="dh"),
+                *_ints("--p", "--g"), *_EXCHANGE, _OUT,
+            ]),
+            "replay": (cmd_exchange_replay, [_arg("file"), *_EXCHANGE]),
+        },
+    ),
+}
 
+
+def _epilog(examples: list[tuple[str, list[str]]]) -> str:
+    lines = ["examples:"]
+    for cmdline, outputs in examples:
+        lines.append(f"  $ {PROG} {cmdline}")
+        lines.extend(f"  {out}" for out in outputs)
+    return "\n".join(lines)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in COMMON:
+        common.add_argument(*flags, **kwargs)
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Exact algebra on tower-constrained polynomial subrings, "
+        "monoid domains, and the toy ciphers built on them.",
+    )
+    top = parser.add_subparsers(dest="group", required=True, metavar="SUBCOMMAND")
+    for name, (help_text, examples, verbs) in GROUPS.items():
+        sub = top.add_parser(
+            name,
+            help=help_text,
+            epilog=_epilog(examples),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        ).add_subparsers(dest="verb", required=True, metavar="VERB")
+        for verb, (func, arguments) in verbs.items():
+            p = sub.add_parser(verb, parents=[common])
+            p.set_defaults(func=func)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 

@@ -10,6 +10,7 @@ from compalg import FormatError, ParameterError, ideal
 from compalg.arith import is_prime, is_primitive_root
 from compalg.ciphers import (
     AffineCipher,
+    CipherText,
     DhParams,
     FractionalKey,
     MonoidCipherKey,
@@ -301,6 +302,27 @@ def test_keygen_block_and_arity_bookkeeping():
         assert composite_cipher_decrypt(ct, fg) == msg
 
 
+def test_composite_decrypt_rejects_out_of_range_ciphertext():
+    rng = random.Random(29)
+    key = composite_cipher_keygen(
+        random_affine_polynomial(29, 1, rng), random_affine_polynomial(29, 1, rng)
+    )
+    msg = [rng.randrange(29) for _ in range(6)]
+    cipher = composite_cipher_encrypt(msg, key)
+    assert composite_cipher_decrypt(cipher, key) == msg
+    one = list(cipher.values)
+    one[2] += 29
+    corrupted = [
+        ([y + 29 for y in cipher.values], 0),
+        ([y - 145 for y in cipher.values], 0),
+        (one, 2),
+    ]
+    for values, pos in corrupted:
+        bad = CipherText(tuple(values), cipher.plain_length)
+        with pytest.raises(ParameterError, match=rf"position {pos} is outside \[0, 29\)"):
+            composite_cipher_decrypt(bad, key)
+
+
 def test_composed_tree_round_trip():
     rng = random.Random(16)
 
@@ -505,6 +527,28 @@ def test_monoid_keygen_factors_p_minus_1_once(monkeypatch):
     keys = [monoid_keygen(1009, rng, 4) for _ in range(50)]
     assert all(is_primitive_root(key.base, 1009) for key in keys)
     assert calls == [1008]
+
+
+def test_monoid_keygen_checks_primality_at_most_twice(monkeypatch):
+    from compalg import arith
+    from compalg.ciphers import monoid_cipher
+
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    monkeypatch.setattr(monoid_cipher, "is_prime", counting_is_prime)
+    rng = random.Random(7)
+    primes = [p for p in range(5, 98) if is_prime(p)]
+    per_keygen = []
+    for i in range(50):
+        before = len(calls)
+        monoid_keygen(primes[i % len(primes)], rng, 4)
+        per_keygen.append(len(calls) - before)
+    assert max(per_keygen) <= 2, per_keygen
 
 
 def test_monoid_decrypt_rejects_out_of_range_ciphertext():

@@ -13,22 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from compalg import cli
 from compalg.cli import build_parser, dispatch
 
-GROUPS = [
-    "ring",
-    "poly",
-    "composite",
-    "monoid",
-    "ideal",
-    "rsa",
-    "dh",
-    "frac",
-    "zone",
-    "compcipher",
-    "monoidcipher",
-    "exchange",
-]
+GROUPS = list(cli.GROUPS)
+VERBS = [(group, verb) for group, (_, _, verbs) in cli.GROUPS.items() for verb in verbs]
 
 
 def run_cli(argv):
@@ -73,6 +62,49 @@ def test_help_examples_are_golden(group):
         code, out, err = run_cli(argv)
         assert code == 0, f"{argv}: {err}"
         assert out == "".join(line + "\n" for line in expected), argv
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DH_TRANSCRIPT = str(ROOT / "tests" / "golden" / "exchange_dh.txt")  # `exchange run` help example
+
+# verbs that neither a help example nor the benchmark's golden cases run
+KNOWN_ANSWERS = [
+    (["poly", "check", "Z/4:[2,2]"], "unit=false nilpotent=true\n"),
+    (["composite", "check", "F2<F4:[1,t]"], "member=true unit=false eval0=1\n"),
+    (["composite", "oracle", "F2<F4:[0,0,1]"], "true\n"),
+    (["monoid", "check", "Z/4:M<2,3>:{0:1,2:2}"], "unit=true nilpotent=false\n"),
+    (["ideal", "norm", "(15)"], "15\n"),
+    (["ideal", "norm", "(0)"], "infinite\n"),
+    (["exchange", "replay", DH_TRANSCRIPT, "--a", "3", "--b", "4"], "replay ok\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    KNOWN_ANSWERS,
+    ids=[" ".join(argv).replace(f"{ROOT}{os.sep}", "") for argv, _ in KNOWN_ANSWERS],
+)
+def test_known_answer(argv, expected):
+    assert run_cli(argv) == (0, expected, "")
+
+
+def test_every_verb_is_dispatched_by_some_test():
+    argvs = [case["argv"] for case in json.loads((ROOT / "bench" / "cli_golden.json").read_text())]
+    argvs += [argv for group in GROUPS for argv, _ in iter_examples(help_text(group))]
+    argvs += [argv for argv, _ in KNOWN_ANSWERS]
+    run = {tuple(argv[:2]) for argv in argvs}
+    assert [gv for gv in VERBS if gv not in run] == []
+
+
+@pytest.mark.parametrize("group,verb", VERBS, ids=[f"{g}-{v}" for g, v in VERBS])
+def test_every_verb_parses_help_and_refuses_unknown_flags(group, verb):
+    code, out, err = run_cli([group, verb, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {cli.PROG} {group} {verb}")
+    code, out, err = run_cli([group, verb, "--no-such-flag"])
+    assert (code, out) == (2, "")
+    assert any(": error: " in line for line in err.splitlines()), err
+    assert "Traceback" not in err
 
 
 def test_domain_error_exit_code_and_prefix():
@@ -222,6 +254,15 @@ def test_malformed_key_record_is_a_format_error(tmp_path, group, record):
     key_path.write_text(record + "\n")
     code, out, err = run_cli([group, "encrypt", "--key", str(key_path), "--values", "1"])
     _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+def test_out_of_range_compcipher_ciphertext_is_a_parameter_error():
+    code, out, err = run_cli(
+        ["compcipher", "decrypt", "--f", "poly[aff(1,1,26),aff(1,2,26)]",
+         "--g", "poly[aff(1,0,26)]", "--cipher", "2 27 26 3 -25", "--as-text"]
+    )
+    _assert_clean_error(code, out, err, "ERR:parameter: ")
+    assert "ciphertext value 27 at position 0 is outside [0, 26)" in err
 
 
 def test_non_integer_list_is_a_format_error():
