@@ -100,9 +100,11 @@ def generates_units(g: int, p: int) -> bool:
 
 
 def smallest_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if is_primitive_root(g, p):
-            return g
     if p == 2:
         return 1
+    if p > 2 and not is_prime(p):
+        raise ParameterError(f"{p} is not prime")
+    for g in range(2, p):
+        if generates_units(g, p):
+            return g
     raise ParameterError(f"no primitive root found mod {p}")

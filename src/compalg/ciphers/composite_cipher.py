@@ -2,11 +2,16 @@
 
 Two parties hold cipher polynomials f and g and multiply them by
 convolution; coefficient m of the product encrypts letter m+1 of each
-block of length deg(fg)+1. During convolution, multiplying two systems
-concatenates their outputs (one letter in, both encryptions out) and
-adding two systems composes them letterwise, first operand first.
-Every constituent is invertible, so decryption splits each block by the
-recorded arities and inverts.
+block of length deg(fg)+1. Multiplying two systems (``prod``) encrypts
+the letter in both and concatenates the outputs; adding them (``sum``)
+composes them letterwise, first operand first.
+
+So every letter cipher is a tuple of affine maps x -> a*x + b (mod s):
+``prod`` concatenates the tuples and ``sum(first, then)`` takes the
+outer product (c*a, c*b + d), first's maps (a, b) outermost. Arity
+multiplies with every ``sum``, so a cipher is kept as syntax whose
+descriptor, built once with it, is its identity, and each key builds
+this normal form once, on its first encryption or decryption.
 
 The ciphertext records the plaintext length so block padding can be
 stripped; its text form is that length followed by the letter values,
@@ -16,134 +21,81 @@ all whitespace-separated integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
 from ..errors import FormatError, ParameterError
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LetterCipher:
-    """An invertible map from one letter to ``arity`` output letters."""
+    """An invertible map from one letter of [0, input_size) to one or more.
 
-    input_size: int
-    output_size: Optional[int]  # None when outputs mix alphabets
-    arity: int
+    ``parts`` is ``("aff", a, b)``, ``("prod", left, right)`` or
+    ``("sum", t0, t1, ..., tk)``, the left-nested sum(...sum(t0,t1)...,tk);
+    ``text`` is the descriptor, and the only field compared. Build ciphers
+    with ``AffineCipher``, ``cipher_product`` and ``cipher_sum``, which
+    validate their arguments.
+    """
 
-    def encrypt_letter(self, x: int) -> list[int]:
-        raise NotImplementedError
-
-    def decrypt_letters(self, ys: Sequence[int]) -> int:
-        raise NotImplementedError
+    text: str
+    input_size: int = field(compare=False)
+    parts: tuple = field(compare=False)
 
     def descriptor(self) -> str:
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, LetterCipher) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash(self.descriptor())
+        return self.text
 
     def __repr__(self):
-        return self.descriptor()
+        return self.text
 
 
-class AffineCipher(LetterCipher):
-    """x -> (a*x + b) mod s with gcd(a, s) = 1; the basic invertible letter map."""
-
-    def __init__(self, a: int, b: int, size: int):
-        if size < 2:
-            raise ParameterError(f"alphabet size {size} must be >= 2")
-        if gcd(a % size, size) != 1:
-            raise ParameterError(f"slope {a} is not invertible mod {size}")
-        self.a = a % size
-        self.b = b % size
-        self.input_size = size
-        self.output_size = size
-        self.arity = 1
-
-    def encrypt_letter(self, x):
-        if not 0 <= x < self.input_size:
-            raise ParameterError(f"letter {x} outside [0, {self.input_size})")
-        return [(self.a * x + self.b) % self.input_size]
-
-    def decrypt_letters(self, ys):
-        (y,) = ys
-        return (y - self.b) * pow(self.a, -1, self.input_size) % self.input_size
-
-    def descriptor(self):
-        return f"aff({self.a},{self.b},{self.input_size})"
-
-
-class ProductCipher(LetterCipher):
-    """Concatenation: encrypt the letter in both systems and emit both outputs."""
-
-    def __init__(self, left: LetterCipher, right: LetterCipher):
-        if left.input_size != right.input_size:
-            raise ParameterError("product requires the same input alphabet")
-        self.left = left
-        self.right = right
-        self.input_size = left.input_size
-        self.output_size = (
-            left.output_size if left.output_size == right.output_size else None
-        )
-        self.arity = left.arity + right.arity
-
-    def encrypt_letter(self, x):
-        return self.left.encrypt_letter(x) + self.right.encrypt_letter(x)
-
-    def decrypt_letters(self, ys):
-        x = self.left.decrypt_letters(ys[: self.left.arity])
-        check = self.right.decrypt_letters(ys[self.left.arity :])
-        if check != x:
-            raise ParameterError("inconsistent product ciphertext")
-        return x
-
-    def descriptor(self):
-        return f"prod({self.left.descriptor()},{self.right.descriptor()})"
-
-
-class ComposedCipher(LetterCipher):
-    """Composition: apply ``first``, then ``then`` to each output letter."""
-
-    def __init__(self, first: LetterCipher, then: LetterCipher):
-        if first.output_size is None:
-            raise ParameterError("cannot compose after a mixed-alphabet system")
-        if then.input_size != first.output_size:
-            raise ParameterError(
-                "inner output alphabet must equal outer input alphabet"
-            )
-        self.first = first
-        self.then = then
-        self.input_size = first.input_size
-        self.output_size = then.output_size if then.arity == 1 or then.output_size else None
-        self.arity = first.arity * then.arity
-
-    def encrypt_letter(self, x):
-        out = []
-        for u in self.first.encrypt_letter(x):
-            out.extend(self.then.encrypt_letter(u))
-        return out
-
-    def decrypt_letters(self, ys):
-        inner = []
-        for i in range(self.first.arity):
-            inner.append(
-                self.then.decrypt_letters(ys[i * self.then.arity : (i + 1) * self.then.arity])
-            )
-        return self.first.decrypt_letters(inner)
-
-    def descriptor(self):
-        return f"sum({self.first.descriptor()},{self.then.descriptor()})"
+def AffineCipher(a: int, b: int, size: int) -> LetterCipher:
+    """x -> (a*x + b) mod size with gcd(a, size) = 1; the basic invertible letter map."""
+    if size < 2:
+        raise ParameterError(f"alphabet size {size} must be >= 2")
+    if gcd(a % size, size) != 1:
+        raise ParameterError(f"slope {a} is not invertible mod {size}")
+    a, b = a % size, b % size
+    return LetterCipher(f"aff({a},{b},{size})", size, ("aff", a, b))
 
 
 def cipher_product(left: LetterCipher, right: LetterCipher) -> LetterCipher:
-    return ProductCipher(left, right)
+    """Concatenation: encrypt the letter in both systems and emit both outputs."""
+    if left.input_size != right.input_size:
+        raise ParameterError("product requires the same input alphabet")
+    return LetterCipher(f"prod({left.text},{right.text})", left.input_size, ("prod", left, right))
 
 
 def cipher_sum(first: LetterCipher, then: LetterCipher) -> LetterCipher:
-    return ComposedCipher(first, then)
+    """Composition: apply ``first``, then ``then`` to each output letter.
+
+    A sum whose first operand is a sum extends its terms instead of nesting
+    it: the k sums that ``composite_cipher_keygen`` folds into a coefficient
+    make one node with one descriptor, not k nested nodes whose descriptors
+    add up to O(k^2) text."""
+    if then.input_size != first.input_size:
+        raise ParameterError("inner output alphabet must equal outer input alphabet")
+    terms = first.parts[1:] if first.parts[0] == "sum" else (first,)
+    text = f"sum({first.text},{then.text})"
+    return LetterCipher(text, first.input_size, ("sum", *terms, then))
+
+
+def _normal_form(cipher: LetterCipher) -> tuple[tuple[int, int], ...]:
+    """The affine maps (a, b) that ``cipher`` applies, in output order.
+
+    One stack frame per nesting level, like the descriptor parser."""
+    parts = cipher.parts
+    if parts[0] == "aff":
+        return (parts[1:],)
+    acc = _normal_form(parts[1])
+    if parts[0] == "prod":
+        return acc + _normal_form(parts[2])
+    s = cipher.input_size
+    for then in parts[2:]:
+        maps = _normal_form(then)
+        acc = tuple((c * a % s, (c * b + d) % s) for a, b in acc for c, d in maps)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +107,8 @@ class CipherPolynomial:
     """Coefficient list of letter ciphers, index = degree."""
 
     coeffs: tuple[LetterCipher, ...]
+    # the coefficients' normal forms, built on first use
+    _lowered: list = field(default_factory=list, init=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
@@ -178,10 +132,18 @@ class CipherPolynomial:
         return self.degree + 1
 
     def descriptor(self) -> str:
-        return f"poly[{','.join(c.descriptor() for c in self.coeffs)}]"
+        return f"poly[{','.join(c.text for c in self.coeffs)}]"
 
     def __repr__(self):
         return self.descriptor()
+
+    def _normal_forms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if not self._lowered:
+            try:
+                self._lowered.append(tuple([_normal_form(c) for c in self.coeffs]))
+            except RecursionError:
+                raise ParameterError("key nested too deeply to lower") from None
+        return self._lowered[0]
 
 
 def composite_cipher_keygen(f: CipherPolynomial, g: CipherPolynomial) -> CipherPolynomial:
@@ -192,14 +154,13 @@ def composite_cipher_keygen(f: CipherPolynomial, g: CipherPolynomial) -> CipherP
     """
     if f.input_size != g.input_size:
         raise ParameterError("f and g must share one input alphabet")
+    fc, gc = f.coeffs, g.coeffs
+    df, dg = len(fc) - 1, len(gc) - 1
     out: list[LetterCipher] = []
-    for m in range(f.degree + g.degree + 1):
+    for m in range(df + dg + 1):
         acc: Optional[LetterCipher] = None
-        for i in range(0, m + 1):
-            j = m - i
-            if i > f.degree or j > g.degree:
-                continue
-            term = cipher_product(f.coeffs[i], g.coeffs[j])
+        for i in range(max(0, m - dg), min(m, df) + 1):
+            term = cipher_product(fc[i], gc[m - i])
             acc = term if acc is None else cipher_sum(acc, term)
         out.append(acc)
     return CipherPolynomial(out)
@@ -236,10 +197,11 @@ def composite_cipher_encrypt(values: Sequence[int], key: CipherPolynomial) -> Ci
     padded = list(values)
     if len(padded) % block:
         padded.extend([0] * (block - len(padded) % block))
+    forms = key._normal_forms()
     out: list[int] = []
     for start in range(0, len(padded), block):
-        for pos in range(block):
-            out.extend(key.coeffs[pos].encrypt_letter(padded[start + pos]))
+        for x, maps in zip(padded[start : start + block], forms):
+            out.extend([(a * x + b) % size for a, b in maps])
     return CipherText(tuple(out), len(values))
 
 
@@ -247,8 +209,11 @@ def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[
     """Invert blockwise, consuming each coefficient's arity, then strip padding.
 
     Every ciphertext letter must lie in [0, s): the letter maps reduce mod s,
-    so a value outside that range would decrypt as its residue."""
-    per_block = sum(c.arity for c in key.coeffs)
+    so a value outside that range would decrypt as its residue. Each letter
+    is recovered from its coefficient's first map, and the coefficient's
+    other output letters must be what its other maps give for it."""
+    forms = key._normal_forms()
+    per_block = sum(len(maps) for maps in forms)
     stream = list(cipher.values)
     size = key.input_size
     for i, y in enumerate(stream):
@@ -258,12 +223,17 @@ def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[
         raise ParameterError(
             f"ciphertext length {len(stream)} is not a multiple of {per_block}"
         )
+    inverses = [pow(maps[0][0], -1, size) for maps in forms]
     plain: list[int] = []
     pos = 0
     while pos < len(stream):
-        for coeff in key.coeffs:
-            plain.append(coeff.decrypt_letters(stream[pos : pos + coeff.arity]))
-            pos += coeff.arity
+        for maps, inverse in zip(forms, inverses):
+            end = pos + len(maps)
+            x = (stream[pos] - maps[0][1]) * inverse % size
+            if [(a * x + b) % size for a, b in maps] != stream[pos:end]:
+                raise ParameterError("inconsistent product ciphertext")
+            plain.append(x)
+            pos = end
     if cipher.plain_length > len(plain):
         raise ParameterError("recorded plaintext length exceeds decrypted stream")
     return plain[: cipher.plain_length]

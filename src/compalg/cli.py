@@ -811,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
         ).add_subparsers(dest="verb", required=True, metavar="VERB")
         for verb, (func, arguments) in verbs.items():
             p = sub.add_parser(verb, parents=[common])
-            p.set_defaults(func=func)
+            p.set_defaults(func=func, parser=p)
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
     return parser
@@ -820,7 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # subparsers hand unknown arguments back: the chosen verb reports them
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,7 +1,10 @@
 """Round trips and worked examples for all six cryptosystems."""
 
+import math
 import random
+import sys
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -10,6 +13,7 @@ from compalg import FormatError, ParameterError, ideal
 from compalg.arith import is_prime, is_primitive_root
 from compalg.ciphers import (
     AffineCipher,
+    CipherPolynomial,
     CipherText,
     DhParams,
     FractionalKey,
@@ -267,19 +271,117 @@ def test_zone_key_shuffles_once(monkeypatch):
 # --- composite-keyed block cipher ------------------------------------------------------
 
 
+# A tree evaluator with the semantics the normal form must keep: a product
+# encrypts the letter in both systems and concatenates, a sum feeds each
+# output letter of its first system through the second; decrypting inverts
+# node by node and a product rejects halves that decrypt to different letters.
+# A sum's parts list the terms of sum(...sum(t0,t1)...,tk).
+
+
+def tree_arity(cipher):
+    kind, *operands = cipher.parts
+    if kind == "aff":
+        return 1
+    if kind == "prod":
+        return sum(tree_arity(t) for t in operands)
+    return math.prod(tree_arity(t) for t in operands)
+
+
+def tree_encrypt_letter(cipher, x):
+    kind, *operands = cipher.parts
+    if kind == "aff":
+        a, b = operands
+        return [(a * x + b) % cipher.input_size]
+    if kind == "prod":
+        return [y for t in operands for y in tree_encrypt_letter(t, x)]
+    ys = [x]
+    for then in operands:
+        ys = [y for u in ys for y in tree_encrypt_letter(then, u)]
+    return ys
+
+
+def tree_decrypt_letters(cipher, ys):
+    kind, *operands = cipher.parts
+    if kind == "aff":
+        a, b = operands
+        (y,) = ys
+        return (y - b) * pow(a, -1, cipher.input_size) % cipher.input_size
+    if kind == "prod":
+        left, right = operands
+        n = tree_arity(left)
+        x = tree_decrypt_letters(left, ys[:n])
+        if tree_decrypt_letters(right, ys[n:]) != x:
+            raise ParameterError("inconsistent product ciphertext")
+        return x
+    for then in reversed(operands[1:]):
+        n = tree_arity(then)
+        ys = [tree_decrypt_letters(then, ys[i : i + n]) for i in range(0, len(ys), n)]
+    return tree_decrypt_letters(operands[0], ys)
+
+
+def tree_encrypt(values, key):
+    block = key.block_length
+    padded = list(values) + [0] * (-len(values) % block)
+    return [y for i, x in enumerate(padded) for y in tree_encrypt_letter(key.coeffs[i % block], x)]
+
+
+def tree_decrypt(cipher, key):
+    """Decryption through the tree, without the range check on letters."""
+    arities = [tree_arity(c) for c in key.coeffs]
+    stream, per_block = list(cipher.values), sum(arities)
+    if len(stream) % per_block:
+        raise ParameterError(f"ciphertext length {len(stream)} is not a multiple of {per_block}")
+    plain, pos = [], 0
+    while pos < len(stream):
+        for coeff, n in zip(key.coeffs, arities):
+            plain.append(tree_decrypt_letters(coeff, stream[pos : pos + n]))
+            pos += n
+    if cipher.plain_length > len(plain):
+        raise ParameterError("recorded plaintext length exceeds decrypted stream")
+    return plain[: cipher.plain_length]
+
+
+def _outcome(decrypt, cipher, key):
+    try:
+        return decrypt(cipher, key)
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+def _random_tree(rng, depth):
+    if depth == 0:
+        return AffineCipher(rng.choice([1, 3, 5, 7, 9, 11]), rng.randrange(26), 26)
+    op = rng.choice([cipher_product, cipher_sum])
+    return op(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _random_oracle_keys(rng):
+    """Convolved affine keys up to degree 6x6, then polynomials of random trees."""
+    for _ in range(40):
+        size = rng.choice([26, 29])
+        yield composite_cipher_keygen(
+            random_affine_polynomial(size, rng.randrange(7), rng),
+            random_affine_polynomial(size, rng.randrange(7), rng),
+        )
+    for _ in range(40):
+        coeffs = [_random_tree(rng, rng.randrange(4)) for _ in range(rng.randrange(1, 4))]
+        yield CipherPolynomial(coeffs)
+
+
 def test_identity_sum_law():
     identity = AffineCipher(1, 0, 26)
     s = AffineCipher(3, 7, 26)
-    composed = cipher_sum(identity, s)
-    for x in range(26):
-        assert composed.encrypt_letter(x) == s.encrypt_letter(x)
-        assert composed.decrypt_letters(s.encrypt_letter(x)) == x
+    composed, alone = CipherPolynomial([cipher_sum(identity, s)]), CipherPolynomial([s])
+    letters = list(range(26))
+    cipher = composite_cipher_encrypt(letters, alone)
+    assert composite_cipher_encrypt(letters, composed) == cipher
+    assert composite_cipher_decrypt(cipher, composed) == letters
 
 
 def test_product_worked_example():
-    pr = cipher_product(AffineCipher(1, 1, 26), AffineCipher(1, 2, 26))
-    assert pr.encrypt_letter(0) == [1, 2]
-    assert pr.decrypt_letters([1, 2]) == 0
+    key = CipherPolynomial([cipher_product(AffineCipher(1, 1, 26), AffineCipher(1, 2, 26))])
+    assert composite_cipher_encrypt([0], key).values == (1, 2)
+    assert composite_cipher_decrypt(CipherText((1, 2), 1), key) == [0]
 
 
 def test_product_requires_same_alphabet():
@@ -294,7 +396,7 @@ def test_keygen_block_and_arity_bookkeeping():
         g = random_affine_polynomial(26, rng.randrange(0, 4), rng)
         fg = composite_cipher_keygen(f, g)
         assert fg.degree == f.degree + g.degree
-        per_block = sum(c.arity for c in fg.coeffs)
+        per_block = sum(tree_arity(c) for c in fg.coeffs)
         msg = [rng.randrange(26) for _ in range(rng.randrange(1, 12))]
         ct = composite_cipher_encrypt(msg, fg)
         blocks = -(-len(msg) // fg.block_length)
@@ -325,17 +427,52 @@ def test_composite_decrypt_rejects_out_of_range_ciphertext():
 
 def test_composed_tree_round_trip():
     rng = random.Random(16)
-
-    def tree(depth):
-        if depth == 0:
-            return AffineCipher(rng.choice([1, 3, 5, 7, 9, 11]), rng.randrange(26), 26)
-        op = rng.choice([cipher_product, cipher_sum])
-        return op(tree(depth - 1), tree(depth - 1))
-
     for _ in range(50):
-        system = tree(rng.randrange(1, 4))
-        for x in rng.sample(range(26), 5):
-            assert system.decrypt_letters(system.encrypt_letter(x)) == x
+        key = CipherPolynomial([_random_tree(rng, rng.randrange(1, 4))])
+        xs = rng.sample(range(26), 5)
+        assert composite_cipher_decrypt(composite_cipher_encrypt(xs, key), key) == xs
+
+
+def test_normal_form_matches_the_tree_oracle_on_random_keys():
+    rng = random.Random(31)
+    for key in _random_oracle_keys(rng):
+        length = rng.randrange(0, 2 * key.block_length + 2)
+        msg = [rng.randrange(key.input_size) for _ in range(length)]
+        cipher = composite_cipher_encrypt(msg, key)
+        assert list(cipher.values) == tree_encrypt(msg, key)
+        assert composite_cipher_decrypt(cipher, key) == tree_decrypt(cipher, key) == msg
+
+
+def test_normal_form_decrypt_rejects_what_the_tree_rejects():
+    rng = random.Random(32)
+    rejected = 0
+    for key in _random_oracle_keys(rng):
+        size = key.input_size
+        msg = [rng.randrange(size) for _ in range(rng.randrange(1, 2 * key.block_length + 2))]
+        for _ in range(5):
+            values = list(composite_cipher_encrypt(msg, key).values)
+            length = len(msg)
+            for _ in range(rng.randrange(1, 4)):
+                kind = rng.randrange(5)
+                i = rng.randrange(len(values) + 1)
+                if kind == 0 and i < len(values):
+                    values[i] = rng.randrange(size)
+                elif kind == 1 and i < len(values):
+                    values[i] = rng.randrange(-2 * size, 3 * size)
+                elif kind == 2 and i < len(values):
+                    del values[i]
+                elif kind == 3:
+                    values.insert(i, rng.randrange(size))
+                else:
+                    length += rng.randrange(-1, 3)
+            cipher = CipherText(tuple(values), max(length, 0))
+            got = _outcome(composite_cipher_decrypt, cipher, key)
+            if all(0 <= y < size for y in values):
+                assert got == _outcome(tree_decrypt, cipher, key)
+            else:
+                assert got.startswith("ParameterError: ciphertext value") and "outside" in got
+            rejected += isinstance(got, str)
+    assert rejected > 200
 
 
 def test_cipher_descriptor_round_trip():
@@ -364,8 +501,38 @@ def test_900_deep_descriptor_parses_and_round_trips():
     text = f"poly[{_nested_descriptor(900)},aff(3,1,26)]"
     key = parse_cipher_polynomial(text)
     assert key.descriptor() == text
+    again = parse_cipher_polynomial(text)
+    assert key == again and hash(key) == hash(again) and {key: 1}[again] == 1
     message = [0, 7, 25, 13]
     assert composite_cipher_decrypt(composite_cipher_encrypt(message, key), key) == message
+
+
+def test_key_deeper_than_the_recursion_limit_is_refused_not_crashed():
+    depth = sys.getrecursionlimit() + 100
+    system = AffineCipher(1, 0, 26)
+    for i in range(depth):
+        other = AffineCipher(3, i % 26, 26)
+        system = cipher_product(system, other) if i % 2 else cipher_sum(other, system)
+    key = CipherPolynomial([system, AffineCipher(5, 1, 26)])
+    assert key.descriptor().count("aff(") == depth + 2 and hash(key) == hash(key)
+    with pytest.raises(ParameterError, match="nested too deeply"):
+        composite_cipher_encrypt([0, 7, 25, 13], key)
+
+
+def test_keygen_memory_is_linear_in_the_descriptor_length():
+    # coefficient m of fg nests up to 81 sums; a descriptor held by every
+    # nested sum would keep ~80x more text than the key's own descriptor
+    rng = random.Random(80)
+    f, g = random_affine_polynomial(26, 80, rng), random_affine_polynomial(26, 80, rng)
+    tracemalloc.start()
+    try:
+        key = composite_cipher_keygen(f, g)
+        text = key.descriptor()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == composite_cipher_keygen(f, g).descriptor()
+    assert retained < 16 * len(text)
 
 
 # --- exponent cipher ----------------------------------------------------------------------

@@ -103,7 +103,9 @@ def test_every_verb_parses_help_and_refuses_unknown_flags(group, verb):
     assert out.startswith(f"usage: {cli.PROG} {group} {verb}")
     code, out, err = run_cli([group, verb, "--no-such-flag"])
     assert (code, out) == (2, "")
-    assert any(": error: " in line for line in err.splitlines()), err
+    assert err.startswith(f"usage: {cli.PROG} {group} {verb}"), err
+    prefix = f"{cli.PROG} {group} {verb}: error: "
+    assert any(line.startswith(prefix) for line in err.splitlines()), err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Protocol harness: determinism, replay, and secret non-leakage."""
 
 import random
+import time
 
 import pytest
 
@@ -71,6 +72,17 @@ def test_agreement_descriptors_match():
         run = run_composite_agreement(f, g)
         assert run.agreed
         assert run.key_first.descriptor() == run.key_second.descriptor()
+
+
+def test_degree_18_agreement_builds_descriptors_not_letter_maps():
+    # coefficient 18 of fg composes 19 products, so its normal form has
+    # 2**19 maps; agreement compares descriptors and must never build them
+    rng = random.Random(18)
+    f, g = random_affine_polynomial(26, 18, rng), random_affine_polynomial(26, 18, rng)
+    start = time.perf_counter()
+    run = run_composite_agreement(f, g)
+    assert time.perf_counter() - start < 1.0
+    assert run.agreed and run.key_first == run.key_second
 
 
 def test_agreement_transcript_hides_the_polynomials():

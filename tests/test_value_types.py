@@ -17,7 +17,7 @@ from compalg import (
     default_extension_field,
 )
 from compalg.alphabet import Alphabet
-from compalg.ciphers import AffineCipher, CipherPolynomial
+from compalg.ciphers import AffineCipher, CipherPolynomial, cipher_product, cipher_sum
 
 F2 = PrimeField(2)
 F4 = default_extension_field(2, 2)
@@ -38,6 +38,12 @@ MAKERS = {
         lambda: MonoidElement(F5, NumericalMonoid([2, 3]), {0: 1}),
     ),
     "Alphabet": (lambda: Alphabet("ABC"), lambda: Alphabet("ACB")),
+    "LetterCipher": (
+        lambda: cipher_sum(
+            AffineCipher(3, 1, 26), cipher_product(AffineCipher(5, 2, 26), AffineCipher(1, 0, 26))
+        ),
+        lambda: cipher_sum(AffineCipher(3, 1, 26), AffineCipher(5, 2, 26)),
+    ),
     "CipherPolynomial": (
         lambda: CipherPolynomial([AffineCipher(3, 1, 26), AffineCipher(5, 2, 26)]),
         lambda: CipherPolynomial([AffineCipher(3, 1, 26)]),
