@@ -36,7 +36,6 @@ class DhParams:
 class DhExchange:
     """Everything both parties see, plus both derived secrets for checking."""
 
-    params: DhParams
     public_first: PrincipalIdeal   # A = g*a mod p
     public_second: PrincipalIdeal  # B = g*b mod p
     shared_first: PrincipalIdeal   # B*a mod p
@@ -52,4 +51,4 @@ def dh_exchange(params: DhParams, a: int, b: int) -> DhExchange:
     pub_b = reduce_ideal(g * PrincipalIdeal(b), p)
     shared_first = reduce_ideal(pub_b * PrincipalIdeal(a), p)
     shared_second = reduce_ideal(pub_a * PrincipalIdeal(b), p)
-    return DhExchange(params, pub_a, pub_b, shared_first, shared_second)
+    return DhExchange(pub_a, pub_b, shared_first, shared_second)

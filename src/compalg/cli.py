@@ -77,8 +77,7 @@ def _message_values(args, *, domain_top: int | None = None) -> list[int]:
             picker = alpha.seeded_picker(args.seed, max_k)
         else:
             picker = alpha.zero_picker
-        ceiling = domain_top if domain_top is not None else None
-        return alpha.encode(args.text, ab, picker, ceiling)
+        return alpha.encode(args.text, ab, picker, domain_top)
     raise ParameterError("need --values or --text")
 
 
@@ -501,22 +500,20 @@ def cmd_exchange_run(args):
     if args.mode == "dh":
         if args.p is None or args.g is None:
             raise ParameterError("dh mode needs --p and --g")
-        params = DhParams(PrincipalIdeal(args.p), PrincipalIdeal(args.g))
         run = run_dh(
-            params,
+            DhParams(PrincipalIdeal(args.p), PrincipalIdeal(args.g)),
             secret_first=args.a,
             secret_second=args.b,
             seed_first=args.seed_f,
             seed_second=args.seed_s,
         )
-        text = run.transcript.serialize()
     else:
         if args.f is None or args.g_poly is None:
             raise ParameterError("compcipher mode needs --f and --g")
-        f = parse_cipher_polynomial(args.f)
-        g = parse_cipher_polynomial(args.g_poly)
-        run = run_composite_agreement(f, g)
-        text = run.transcript.serialize()
+        run = run_composite_agreement(
+            parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g_poly)
+        )
+    text = run.transcript.serialize()
     _write_out(args, text)
     lines = text.splitlines()
     return lines, {"transcript": lines}
@@ -524,27 +521,18 @@ def cmd_exchange_run(args):
 
 def cmd_exchange_replay(args):
     from .ciphers.composite_cipher import parse_cipher_polynomial
-    from .keyexchange import parse_transcript_params, replay_composite_agreement, replay_dh
+    from .keyexchange import replay
 
-    text = _read_text(args.file)
-    protocol, _ = parse_transcript_params(text)
-    if protocol == "dh":
-        ok = replay_dh(
-            text,
-            secret_first=args.a,
-            secret_second=args.b,
-            seed_first=args.seed_f,
-            seed_second=args.seed_s,
-        )
-    elif protocol == "composite-agreement":
-        if args.f is None or args.g_poly is None:
-            raise ParameterError("composite-agreement replay needs --f and --g")
-        ok = replay_composite_agreement(
-            text, parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g_poly)
-        )
-    else:
-        raise FormatError(f"unrecognized transcript protocol {protocol!r}")
-    if not ok:
+    both = args.f is not None and args.g_poly is not None
+    if not replay(
+        _read_text(args.file),
+        f=parse_cipher_polynomial(args.f) if both else None,
+        g=parse_cipher_polynomial(args.g_poly) if both else None,
+        secret_first=args.a,
+        secret_second=args.b,
+        seed_first=args.seed_f,
+        seed_second=args.seed_s,
+    ):
         raise ParameterError("transcript does not replay identically")
     return ["replay ok"], {"replay": "ok"}
 

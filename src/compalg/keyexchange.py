@@ -1,11 +1,11 @@
 """In-memory two-party protocol harness with transcripts.
 
-The channel is synchronous, ordered and loss-free; the transcript is an
-append-only record of everything that crossed it, plus a digest of each
-party's derived secret. Secret inputs (multipliers, cipher polynomials)
-never enter the transcript; replaying therefore means re-running the
-protocol with the same secret inputs and comparing the serialized
-transcript byte for byte.
+The channel is synchronous, ordered and loss-free; each run builds its
+transcript once, from everything that crossed the channel plus a digest
+of each party's derived secret. Secret inputs (multipliers, cipher
+polynomials) never enter the transcript; replaying therefore means
+re-running the protocol with the same secret inputs and comparing the
+serialized transcript byte for byte.
 """
 
 from __future__ import annotations
@@ -35,52 +35,27 @@ class TranscriptEntry:
     payload: str
 
 
+@dataclass(frozen=True, slots=True)
 class Transcript:
-    """Append-only exchange log with final per-party secret digests."""
+    """One run's exchange log with the final per-party secret digests."""
 
-    __slots__ = ("protocol", "params", "_entries", "_digests", "_error")
-
-    def __init__(self, protocol: str, params: list[tuple[str, str]]):
-        self.protocol = protocol
-        self.params = tuple(params)
-        self._entries: list[TranscriptEntry] = []
-        self._digests: list[tuple[str, str]] = []
-        self._error: Optional[str] = None
-
-    @property
-    def entries(self) -> tuple[TranscriptEntry, ...]:
-        return tuple(self._entries)
-
-    @property
-    def digests(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._digests)
-
-    @property
-    def error(self) -> Optional[str]:
-        return self._error
-
-    def record(self, sender: str, receiver: str, payload: str):
-        self._entries.append(TranscriptEntry(sender, receiver, payload))
-
-    def record_digest(self, party: str, digest: str):
-        self._digests.append((party, digest))
-
-    def record_error(self, message: str):
-        self._error = message
+    protocol: str
+    params: tuple[tuple[str, str], ...]
+    entries: tuple[TranscriptEntry, ...]
+    digests: tuple[tuple[str, str], ...]
+    error: Optional[str] = None
 
     def digests_equal(self) -> bool:
-        values = [d for _, d in self._digests]
+        values = [d for _, d in self.digests]
         return len(values) >= 2 and len(set(values)) == 1
 
     def serialize(self) -> str:
         lines = [f"exchange v1 {self.protocol}"]
         lines.extend(f"param {name}={value}" for name, value in self.params)
-        lines.extend(
-            f"msg {e.sender}->{e.receiver} {e.payload}" for e in self._entries
-        )
-        lines.extend(f"digest {party} {d}" for party, d in self._digests)
-        if self._error is not None:
-            lines.append(f"error {self._error}")
+        lines.extend(f"msg {e.sender}->{e.receiver} {e.payload}" for e in self.entries)
+        lines.extend(f"digest {party} {d}" for party, d in self.digests)
+        if self.error is not None:
+            lines.append(f"error {self.error}")
         return "\n".join(lines) + "\n"
 
 
@@ -98,6 +73,15 @@ def parse_transcript_params(text: str) -> tuple[str, dict[str, str]]:
     return protocol, params
 
 
+def _secret(secret: Optional[int], seed: Optional[int], p: int, party: str) -> int:
+    """The given secret, or one drawn from the seed."""
+    if secret is not None:
+        return secret
+    if seed is None:
+        raise ParameterError(f"need secret_{party} or seed_{party}")
+    return random.Random(seed).randrange(2, 8 * p + 2)
+
+
 # ---------------------------------------------------------------------------
 # shared-ideal exchange
 
@@ -106,10 +90,6 @@ def parse_transcript_params(text: str) -> tuple[str, dict[str, str]]:
 class DhRun:
     transcript: Transcript
     exchange: DhExchange
-
-
-def _draw_secret(seed: int, p: int) -> int:
-    return random.Random(seed).randrange(2, 8 * p + 2)
 
 
 def run_dh(
@@ -127,50 +107,18 @@ def run_dh(
     transcripts on every run.
     """
     p = params.p.generator
-    if secret_first is None:
-        if seed_first is None:
-            raise ParameterError("need secret_first or seed_first")
-        secret_first = _draw_secret(seed_first, p)
-    if secret_second is None:
-        if seed_second is None:
-            raise ParameterError("need secret_second or seed_second")
-        secret_second = _draw_secret(seed_second, p)
-
-    transcript = Transcript(
-        "dh", [("P", repr(params.p)), ("G", repr(params.g))]
+    ex = dh_exchange(
+        params,
+        _secret(secret_first, seed_first, p, "first"),
+        _secret(secret_second, seed_second, p, "second"),
     )
-    ex = dh_exchange(params, secret_first, secret_second)
-    transcript.record(FIRST, SECOND, f"A={ex.public_first!r}")
-    transcript.record(SECOND, FIRST, f"B={ex.public_second!r}")
-    transcript.record_digest(FIRST, _digest(repr(ex.shared_first)))
-    transcript.record_digest(SECOND, _digest(repr(ex.shared_second)))
-    return DhRun(transcript, ex)
-
-
-def replay_dh(
-    text: str,
-    *,
-    secret_first: Optional[int] = None,
-    secret_second: Optional[int] = None,
-    seed_first: Optional[int] = None,
-    seed_second: Optional[int] = None,
-) -> bool:
-    """Re-run from the recorded public params and compare byte for byte."""
-    protocol, params = parse_transcript_params(text)
-    if protocol != "dh":
-        raise FormatError(f"expected a dh transcript, got {protocol!r}")
-    try:
-        dh_params = DhParams(parse_ideal(params["P"]), parse_ideal(params["G"]))
-    except KeyError:
-        raise FormatError("transcript is missing P or G params") from None
-    rerun = run_dh(
-        dh_params,
-        secret_first=secret_first,
-        secret_second=secret_second,
-        seed_first=seed_first,
-        seed_second=seed_second,
-    )
-    return rerun.transcript.serialize() == text
+    return DhRun(Transcript(
+        "dh",
+        (("P", repr(params.p)), ("G", repr(params.g))),
+        (TranscriptEntry(FIRST, SECOND, f"A={ex.public_first!r}"),
+         TranscriptEntry(SECOND, FIRST, f"B={ex.public_second!r}")),
+        ((FIRST, _digest(repr(ex.shared_first))), (SECOND, _digest(repr(ex.shared_second)))),
+    ), ex)
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +143,57 @@ def run_composite_agreement(f: CipherPolynomial, g: CipherPolynomial) -> Agreeme
     a parameter mismatch is surfaced as an error entry, not an exception,
     since the harness's job is to record what happened on the channel.
     """
-    transcript = Transcript(
-        "composite-agreement", [("S", str(f.input_size))]
-    )
+    params = (("S", str(f.input_size)),)
     try:
         # each party derives the key on its own
         key_first = composite_cipher_keygen(f, g)
         key_second = composite_cipher_keygen(f, g)
     except ParameterError as exc:
-        transcript.record_error(str(exc))
-        return AgreementRun(transcript, None, None)
+        failed = Transcript("composite-agreement", params, (), (), error=str(exc))
+        return AgreementRun(failed, None, None)
     d1 = _digest(key_first.descriptor())
     d2 = _digest(key_second.descriptor())
-    transcript.record(FIRST, SECOND, f"fg-digest={d1}")
-    transcript.record(SECOND, FIRST, f"fg-digest={d2}")
-    transcript.record_digest(FIRST, d1)
-    transcript.record_digest(SECOND, d2)
-    return AgreementRun(transcript, key_first, key_second)
+    return AgreementRun(Transcript(
+        "composite-agreement",
+        params,
+        (TranscriptEntry(FIRST, SECOND, f"fg-digest={d1}"),
+         TranscriptEntry(SECOND, FIRST, f"fg-digest={d2}")),
+        ((FIRST, d1), (SECOND, d2)),
+    ), key_first, key_second)
 
 
-def replay_composite_agreement(
-    text: str, f: CipherPolynomial, g: CipherPolynomial
+def replay(
+    text: str,
+    *,
+    f: Optional[CipherPolynomial] = None,
+    g: Optional[CipherPolynomial] = None,
+    secret_first: Optional[int] = None,
+    secret_second: Optional[int] = None,
+    seed_first: Optional[int] = None,
+    seed_second: Optional[int] = None,
 ) -> bool:
-    protocol, _ = parse_transcript_params(text)
-    if protocol != "composite-agreement":
-        raise FormatError(f"expected a composite-agreement transcript, got {protocol!r}")
-    return run_composite_agreement(f, g).transcript.serialize() == text
+    """Re-run the recorded protocol and compare byte for byte.
+
+    A dh transcript takes the secrets or seeds, a composite-agreement
+    one the polynomials f and g.
+    """
+    protocol, params = parse_transcript_params(text)
+    if protocol == "dh":
+        try:
+            dh_params = DhParams(parse_ideal(params["P"]), parse_ideal(params["G"]))
+        except KeyError:
+            raise FormatError("transcript is missing P or G params") from None
+        run = run_dh(
+            dh_params,
+            secret_first=secret_first,
+            secret_second=secret_second,
+            seed_first=seed_first,
+            seed_second=seed_second,
+        )
+    elif protocol == "composite-agreement":
+        if f is None or g is None:
+            raise ParameterError("composite-agreement replay needs --f and --g")
+        run = run_composite_agreement(f, g)
+    else:
+        raise FormatError(f"unrecognized transcript protocol {protocol!r}")
+    return run.transcript.serialize() == text

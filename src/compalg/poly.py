@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import ParameterError, RingMismatchError
+from .errors import CeilingError, ParameterError, RingMismatchError
 from .rings import (
     Ring,
     RingElement,
@@ -264,7 +264,7 @@ def search_inverse(f: Polynomial, degree_bound: int) -> Optional[Polynomial]:
     if degree_bound < 0:
         raise ParameterError(f"degree_bound must be >= 0, got {degree_bound}")
     if degree_bound > INVERSE_SEARCH_MAX_BOUND:
-        raise ParameterError(
+        raise CeilingError(
             f"degree_bound {degree_bound} exceeds ceiling {INVERSE_SEARCH_MAX_BOUND}"
         )
     if f.is_zero():

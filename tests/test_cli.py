@@ -343,6 +343,33 @@ def test_replaying_a_garbage_file_is_a_format_error(tmp_path):
     _assert_clean_error(code, out, err, "ERR:format: ")
 
 
+@pytest.mark.parametrize(
+    "edit,prefix,reason",
+    [
+        (lambda t: t.replace("v1 dh", "v1 foo"), "ERR:format: ", "unrecognized transcript protocol"),
+        (lambda t: t.replace("param G=(10)\n", ""), "ERR:format: ", "missing P or G"),
+        (lambda t: "exchange v1 composite-agreement\nparam S=26\n", "ERR:parameter: ",
+         "needs --f and --g"),
+        (lambda t: t.replace("A=(2)", "A=(3)"), "ERR:parameter: ", "does not replay identically"),
+    ],
+    ids=["unknown-protocol", "dh-without-g", "agreement-without-polys", "dh-altered-msg"],
+)
+def test_replay_refusals(tmp_path, edit, prefix, reason):
+    secrets = ["--a", "3", "--b", "4"]
+    code, text, _ = run_cli(["exchange", "run", "--p", "7", "--g", "10", *secrets])
+    assert code == 0 and edit(text) != text
+    transcript = tmp_path / "transcript.txt"
+    transcript.write_text(edit(text))
+    code, out, err = run_cli(["exchange", "replay", str(transcript), *secrets])
+    _assert_clean_error(code, out, err, prefix)
+    assert reason in err
+
+
+def test_inverse_search_above_its_ceiling_is_a_ceiling_error():
+    code, out, err = run_cli(["poly", "oracle", "Z/4:[1,2]", "--bound", "9"])
+    _assert_clean_error(code, out, err, "ERR:ceiling: ")
+
+
 def test_field_element_with_a_huge_exponent():
     """t has order 3 in F4 and 10^9 = 1 mod 3; no list as long as the exponent."""
     env = dict(os.environ)

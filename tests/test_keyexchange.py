@@ -7,12 +7,7 @@ import pytest
 
 from compalg import ParameterError, ideal
 from compalg.ciphers import DhParams, parse_cipher_polynomial, random_affine_polynomial
-from compalg.keyexchange import (
-    replay_composite_agreement,
-    replay_dh,
-    run_composite_agreement,
-    run_dh,
-)
+from compalg.keyexchange import replay, run_composite_agreement, run_dh
 
 PARAMS = DhParams(ideal(7), ideal(10))
 
@@ -55,8 +50,8 @@ def test_dh_random_runs_always_agree():
 
 def test_dh_replay_round_trip():
     text = run_dh(PARAMS, seed_first=5, seed_second=6).transcript.serialize()
-    assert replay_dh(text, seed_first=5, seed_second=6)
-    assert not replay_dh(text, seed_first=5, seed_second=7)
+    assert replay(text, seed_first=5, seed_second=6)
+    assert not replay(text, seed_first=5, seed_second=7)
 
 
 def test_dh_needs_secrets_or_seeds():
@@ -98,8 +93,8 @@ def test_agreement_replay():
     f = parse_cipher_polynomial("poly[aff(3,1,26)]")
     g = parse_cipher_polynomial("poly[aff(5,4,26)]")
     text = run_composite_agreement(f, g).transcript.serialize()
-    assert replay_composite_agreement(text, f, g)
-    assert not replay_composite_agreement(text, g, f)
+    assert replay(text, f=f, g=g)
+    assert not replay(text, f=g, g=f)
 
 
 def test_agreement_surfaces_alphabet_mismatch_in_transcript():

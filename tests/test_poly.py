@@ -5,6 +5,7 @@ import random
 import pytest
 
 from compalg import (
+    CeilingError,
     Integers,
     IntegersMod,
     NotAUnitError,
@@ -132,7 +133,7 @@ def test_inverse_search_rejects_x():
 
 
 def test_inverse_search_bound_ceiling():
-    with pytest.raises(ParameterError):
+    with pytest.raises(CeilingError):
         search_inverse(Polynomial(Z4, [1, 2]), 9)
 
 

@@ -15,9 +15,11 @@ from compalg import (
     Tower,
     arith,
     default_extension_field,
+    ideal,
 )
 from compalg.alphabet import Alphabet
-from compalg.ciphers import AffineCipher, CipherPolynomial, cipher_product, cipher_sum
+from compalg.ciphers import AffineCipher, CipherPolynomial, DhParams, cipher_product, cipher_sum
+from compalg.keyexchange import run_dh
 
 F2 = PrimeField(2)
 F4 = default_extension_field(2, 2)
@@ -47,6 +49,10 @@ MAKERS = {
     "CipherPolynomial": (
         lambda: CipherPolynomial([AffineCipher(3, 1, 26), AffineCipher(5, 2, 26)]),
         lambda: CipherPolynomial([AffineCipher(3, 1, 26)]),
+    ),
+    "Transcript": (
+        lambda: run_dh(DhParams(ideal(7), ideal(10)), secret_first=3, secret_second=4).transcript,
+        lambda: run_dh(DhParams(ideal(7), ideal(10)), secret_first=3, secret_second=5).transcript,
     ),
 }
 
