@@ -1,17 +1,17 @@
 """Letter-value codec with representative lifts.
 
 Letters map to residues 0..cycle-1; a value may carry any nonnegative
-representative of its residue class (value = index + cycle * k), which
-is how a finite alphabet is stretched over the nonnegative integers.
-Decoding only ever reads the residue, so decode(encode(text)) is the
-identity for every representative picker.
+representative of its residue class, value = index + cycle * k for a
+lift k >= 0, which is how a finite alphabet is stretched over the
+nonnegative integers. Decoding only ever reads the residue, so
+decode(encode(text, lifts)) is the identity for every choice of lifts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .arith import is_prime
 from .errors import ParameterError
@@ -19,13 +19,10 @@ from .errors import ParameterError
 #: default ceiling on encoded values: cycle * 2**16
 DEFAULT_CEILING_FACTOR = 1 << 16
 
-#: picker(position, letter_index) -> lift multiplier k >= 0
-Picker = Callable[[int, int], int]
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Alphabet:
-    """Ordered distinct symbols; values 0..cycle-1 are bijective with them."""
+    """Ordered distinct one-character symbols; values 0..cycle-1 are bijective with them."""
 
     symbols: tuple[str, ...]
     cycle: int = field(init=False, compare=False)
@@ -36,6 +33,9 @@ class Alphabet:
             raise ParameterError("alphabet must not be empty")
         if len(set(syms)) != len(syms):
             raise ParameterError("alphabet symbols must be distinct")
+        for sym in syms:
+            if not isinstance(sym, str) or len(sym) != 1:
+                raise ParameterError(f"alphabet symbol {sym!r} is not one character")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "cycle", len(syms))
 
@@ -61,45 +61,30 @@ def upper_latin() -> Alphabet:
     return Alphabet(chr(ord("A") + i) for i in range(26))
 
 
-def zero_picker(_pos: int, _idx: int) -> int:
-    return 0
-
-
-def fixed_picker(ks: Sequence[int]) -> Picker:
-    """Lift multipliers given per text position."""
-
-    def pick(pos: int, _idx: int) -> int:
-        return ks[pos]
-
-    return pick
-
-
-def seeded_picker(seed: int, max_k: int) -> Picker:
-    """Deterministic pseudo-random multipliers in [0, max_k]."""
+def seeded_lifts(seed: int, max_k: int, count: int) -> list[int]:
+    """``count`` deterministic pseudo-random lifts in [0, max_k], drawn in order."""
     rng = random.Random(seed)
-
-    def pick(_pos: int, _idx: int) -> int:
-        return rng.randint(0, max_k)
-
-    return pick
+    return [rng.randint(0, max_k) for _ in range(count)]
 
 
 def encode(
     text: str,
     alphabet: Alphabet,
-    picker: Picker = zero_picker,
+    lifts: Sequence[int] | None = None,
     ceiling: int | None = None,
 ) -> list[int]:
-    """Letter values with picker-chosen representatives, each <= ceiling."""
+    """Values index + cycle * lift, one lift per letter (default all 0), each <= ceiling."""
     if ceiling is None:
         ceiling = alphabet.cycle * DEFAULT_CEILING_FACTOR
+    if lifts is None:
+        lifts = [0] * len(text)
+    elif len(lifts) != len(text):
+        raise ParameterError(f"{len(lifts)} lifts for {len(text)} letters")
     out = []
-    for pos, ch in enumerate(text):
-        idx = alphabet.index(ch)
-        k = picker(pos, idx)
+    for pos, (ch, k) in enumerate(zip(text, lifts)):
         if k < 0:
-            raise ParameterError(f"picker returned negative multiplier {k}")
-        value = idx + alphabet.cycle * k
+            raise ParameterError(f"lift {k} at position {pos} is negative")
+        value = alphabet.index(ch) + alphabet.cycle * k
         if value > ceiling:
             raise ParameterError(
                 f"encoded value {value} exceeds ceiling {ceiling} at position {pos}"

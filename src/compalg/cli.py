@@ -30,7 +30,7 @@ def _bool(b: bool) -> str:
 
 
 def _emit(args, lines, obj) -> int:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         import json
 
         print(json.dumps(obj, sort_keys=True))
@@ -40,7 +40,9 @@ def _emit(args, lines, obj) -> int:
     return 0
 
 
-def _parse_values(text: str, sep: str | None = None) -> list[int]:
+def _parse_values(text: str | None, sep: str | None = None) -> list[int]:
+    if text is None:
+        raise ParameterError("need --values")
     try:
         return [int(tok) for tok in text.split(sep)]
     except ValueError:
@@ -57,46 +59,46 @@ def _read_text(path: str) -> str:
 def _load_alphabet(args):
     from . import alphabet as alpha
 
-    path = getattr(args, "alphabet_file", None)
-    if path:
-        symbols = [line for line in _read_text(path).splitlines() if line]
-        return alpha.Alphabet(symbols)
+    if args.alphabet_file:
+        return alpha.Alphabet(line for line in _read_text(args.alphabet_file).splitlines() if line)
     return alpha.upper_latin()
 
 
-def _message_values(args, *, domain_top: int | None = None) -> list[int]:
-    """Values either straight from --values or encoded from --text."""
-    if getattr(args, "values", None) is not None:
+def _message_values(args, domain_top: int) -> list[int]:
+    """Values either straight from --values or encoded from --text, each <= domain_top."""
+    if args.values is not None:
         return _parse_values(args.values)
-    if getattr(args, "text", None) is not None:
+    if args.text is not None:
         from . import alphabet as alpha
 
         ab = _load_alphabet(args)
-        if args.seed is not None and domain_top is not None:
+        lifts = None
+        if args.seed is not None:
             max_k = max(0, (domain_top - ab.cycle) // ab.cycle)
-            picker = alpha.seeded_picker(args.seed, max_k)
-        else:
-            picker = alpha.zero_picker
-        return alpha.encode(args.text, ab, picker, domain_top)
+            lifts = alpha.seeded_lifts(args.seed, max_k, len(args.text))
+        return alpha.encode(args.text, ab, lifts, domain_top)
     raise ParameterError("need --values or --text")
 
 
-def _maybe_text(args, values: list[int], lines, obj):
-    if getattr(args, "as_text", False):
+def _int_line(key: str, values: list[int]):
+    return [" ".join(map(str, values))], {key: values}
+
+
+def _plain(args, values: list[int]):
+    """Decrypted values, or under --as-text the text they spell."""
+    if args.as_text:
         from . import alphabet as alpha
 
-        ab = _load_alphabet(args)
-        text = alpha.decode(values, ab)
+        text = alpha.decode(values, _load_alphabet(args))
         return [text], {"text": text}
-    return lines, obj
+    return _int_line("values", values)
 
 
 def _write_out(args, content: str):
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         from pathlib import Path
 
-        Path(out).write_text(content if content.endswith("\n") else content + "\n")
+        Path(args.out).write_text(content if content.endswith("\n") else content + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def _rsa_key(args):
     from .ciphers.rsa_ideal import key_from_text, rsa_keygen
     from .ideals import PrincipalIdeal
 
-    if getattr(args, "key", None):
+    if args.key:
         return key_from_text(_read_text(args.key).strip())
     if args.p is None or args.q is None or args.e is None:
         raise ParameterError("need --key or all of --p/--q/--e")
@@ -321,19 +323,14 @@ def cmd_rsa_encrypt(args):
     from .ciphers.rsa_ideal import rsa_encrypt
 
     key = _rsa_key(args)
-    values = _message_values(args, domain_top=key.phi.generator - 1)
-    cipher = rsa_encrypt(values, key)
-    text = " ".join(str(c) for c in cipher)
-    return [text], {"cipher": cipher}
+    return _int_line("cipher", rsa_encrypt(_message_values(args, key.phi.generator - 1), key))
 
 
 def cmd_rsa_decrypt(args):
     from .ciphers.rsa_ideal import rsa_decrypt
 
     key = _rsa_key(args)
-    values = rsa_decrypt(_parse_values(args.values), key)
-    lines, obj = [" ".join(str(v) for v in values)], {"values": values}
-    return _maybe_text(args, values, lines, obj)
+    return _plain(args, rsa_decrypt(_parse_values(args.values), key))
 
 
 def cmd_dh_run(args):
@@ -361,8 +358,7 @@ def cmd_frac_encrypt(args):
 
     key = FractionalKey(args.alpha, args.k)
     values = [args.x] if args.x is not None else _parse_values(args.values)
-    cipher = frac_encrypt(values, key)
-    return [" ".join(str(c) for c in cipher)], {"cipher": cipher}
+    return _int_line("cipher", frac_encrypt(values, key))
 
 
 def cmd_frac_decrypt(args):
@@ -370,8 +366,7 @@ def cmd_frac_decrypt(args):
 
     key = FractionalKey(args.alpha, args.k)
     values = [args.y] if args.y is not None else _parse_values(args.values)
-    plain = frac_decrypt(values, key)
-    return [" ".join(str(v) for v in plain)], {"values": plain}
+    return _int_line("values", frac_decrypt(values, key))
 
 
 def cmd_zone_encrypt(args):
@@ -386,15 +381,14 @@ def cmd_zone_decrypt(args):
     from .ciphers.zone import ZoneKey, pairs_from_text, zone_decrypt
 
     key = ZoneKey(args.p, args.q, args.k, args.zone_seed)
-    values = zone_decrypt(pairs_from_text(args.pairs), key)
-    return [" ".join(str(v) for v in values)], {"values": values}
+    return _int_line("values", zone_decrypt(pairs_from_text(args.pairs), key))
 
 
 def _compcipher_key(args):
     from .ciphers.composite_cipher import parse_cipher_polynomial
     from .textio import parse_key_record
 
-    if getattr(args, "key", None):
+    if args.key:
         fields = parse_key_record(_read_text(args.key), "composite-cipher", ("F", "G"))
         return parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
     if args.f is None or args.g is None:
@@ -420,8 +414,7 @@ def cmd_compcipher_encrypt(args):
 
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
-    values = _message_values(args, domain_top=fg.input_size - 1)
-    cipher = composite_cipher_encrypt(values, fg)
+    cipher = composite_cipher_encrypt(_message_values(args, fg.input_size - 1), fg)
     return [cipher.to_text()], {
         "cipher": list(cipher.values),
         "plain_length": cipher.plain_length,
@@ -437,15 +430,13 @@ def cmd_compcipher_decrypt(args):
 
     f, g = _compcipher_key(args)
     fg = composite_cipher_keygen(f, g)
-    values = composite_cipher_decrypt(CipherText.from_text(args.cipher), fg)
-    lines, obj = [" ".join(str(v) for v in values)], {"values": values}
-    return _maybe_text(args, values, lines, obj)
+    return _plain(args, composite_cipher_decrypt(CipherText.from_text(args.cipher), fg))
 
 
 def _monoidcipher_key(args):
     from .ciphers.monoid_cipher import MonoidCipherKey, key_from_text
 
-    if getattr(args, "key", None):
+    if args.key:
         return key_from_text(_read_text(args.key).strip())
     if args.p is None or args.x is None or args.a is None:
         raise ParameterError("need --key or all of --p/--x/--a")
@@ -473,18 +464,14 @@ def cmd_monoidcipher_encrypt(args):
     from .ciphers.monoid_cipher import monoid_encrypt
 
     key = _monoidcipher_key(args)
-    values = _message_values(args, domain_top=key.alphabet_size - 2)
-    cipher = monoid_encrypt(values, key)
-    return [" ".join(str(c) for c in cipher)], {"cipher": cipher}
+    return _int_line("cipher", monoid_encrypt(_message_values(args, key.alphabet_size - 2), key))
 
 
 def cmd_monoidcipher_decrypt(args):
     from .ciphers.monoid_cipher import monoid_decrypt
 
     key = _monoidcipher_key(args)
-    values = monoid_decrypt(_parse_values(args.values), key)
-    lines, obj = [" ".join(str(v) for v in values)], {"values": values}
-    return _maybe_text(args, values, lines, obj)
+    return _plain(args, monoid_decrypt(_parse_values(args.values), key))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +496,7 @@ def cmd_exchange_run(args):
         )
     else:
         if args.f is None or args.g_poly is None:
-            raise ParameterError("compcipher mode needs --f and --g")
+            raise ParameterError("compcipher mode needs --f and --g-poly")
         run = run_composite_agreement(
             parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g_poly)
         )
@@ -549,18 +536,15 @@ def _ints(*flags, **kwargs):
     return [_arg(flag, type=int, **kwargs) for flag in flags]
 
 
-COMMON = [
-    _arg("--format", choices=("text", "json"), default="text"),
-    *_ints("--seed"),
-    _arg("--alphabet-file"),
-]
+COMMON = [_arg("--format", choices=("text", "json"), default="text")]
 
 _ELEMENT = [_arg("element")]
 _POLY = [_arg("poly")]
 _LEFT_RIGHT = [_arg("left"), _arg("right")]
 _VALUES = _arg("--values")
-_TEXT = _arg("--text")
-_AS_TEXT = _arg("--as-text", action="store_true")
+_ALPHABET_FILE = _arg("--alphabet-file")
+_TEXT = [_arg("--text"), *_ints("--seed"), _ALPHABET_FILE]
+_AS_TEXT = [_arg("--as-text", action="store_true"), _ALPHABET_FILE]
 _OUT = _arg("--out")
 _RSA_KEY = [_arg("--key", help="key file from rsa keygen --out"), *_ints("--p", "--q", "--e"),
             _VALUES]
@@ -661,8 +645,8 @@ GROUPS = {
                 *_ints("--p", "--q", "--e", required=True),
                 _arg("--out", help="write the full key record to this file"),
             ]),
-            "encrypt": (cmd_rsa_encrypt, [*_RSA_KEY, _TEXT]),
-            "decrypt": (cmd_rsa_decrypt, [*_RSA_KEY, _AS_TEXT]),
+            "encrypt": (cmd_rsa_encrypt, [*_RSA_KEY, *_TEXT]),
+            "decrypt": (cmd_rsa_decrypt, [*_RSA_KEY, *_AS_TEXT]),
         },
     ),
     "dh": (
@@ -720,9 +704,9 @@ GROUPS = {
             "keygen": (cmd_compcipher_keygen, [
                 _arg("--f", help="cipher polynomial, e.g. poly[aff(1,1,26)]"), *_CC_KEY[1:], _OUT,
             ]),
-            "encrypt": (cmd_compcipher_encrypt, [*_CC_KEY, _VALUES, _TEXT]),
+            "encrypt": (cmd_compcipher_encrypt, [*_CC_KEY, _VALUES, *_TEXT]),
             "decrypt": (cmd_compcipher_decrypt,
-                        [*_CC_KEY, _arg("--cipher", required=True), _AS_TEXT]),
+                        [*_CC_KEY, _arg("--cipher", required=True), *_AS_TEXT]),
         },
     ),
     "monoidcipher": (
@@ -738,11 +722,12 @@ GROUPS = {
         {
             "keygen": (cmd_monoidcipher_keygen, [
                 *_ints("--p", required=True),
+                *_ints("--seed"),
                 *_ints("--coeffs", default=8, help="coefficient count"),
                 _OUT,
             ]),
-            "encrypt": (cmd_monoidcipher_encrypt, [*_MC_KEY, _TEXT]),
-            "decrypt": (cmd_monoidcipher_decrypt, [*_MC_KEY, _AS_TEXT]),
+            "encrypt": (cmd_monoidcipher_encrypt, [*_MC_KEY, *_TEXT]),
+            "decrypt": (cmd_monoidcipher_decrypt, [*_MC_KEY, *_AS_TEXT]),
         },
     ),
     "exchange": (
@@ -781,9 +766,6 @@ def _epilog(examples: list[tuple[str, list[str]]]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for flags, kwargs in COMMON:
-        common.add_argument(*flags, **kwargs)
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact algebra on tower-constrained polynomial subrings, "
@@ -798,9 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         ).add_subparsers(dest="verb", required=True, metavar="VERB")
         for verb, (func, arguments) in verbs.items():
-            p = sub.add_parser(verb, parents=[common])
+            p = sub.add_parser(verb)
             p.set_defaults(func=func, parser=p)
-            for flags, kwargs in arguments:
+            for flags, kwargs in [*COMMON, *arguments]:
                 p.add_argument(*flags, **kwargs)
     return parser
 

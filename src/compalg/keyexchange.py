@@ -192,7 +192,7 @@ def replay(
         )
     elif protocol == "composite-agreement":
         if f is None or g is None:
-            raise ParameterError("composite-agreement replay needs --f and --g")
+            raise ParameterError("composite-agreement replay needs f and g")
         run = run_composite_agreement(f, g)
     else:
         raise FormatError(f"unrecognized transcript protocol {protocol!r}")

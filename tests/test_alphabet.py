@@ -9,8 +9,7 @@ from compalg import (
     ParameterError,
     decode,
     encode,
-    fixed_picker,
-    seeded_picker,
+    seeded_lifts,
     upper_latin,
 )
 
@@ -22,8 +21,18 @@ def test_zero_picker_encoding():
 
 
 def test_lifted_encoding():
-    picker = fixed_picker([0, 0, 1, 2, 1, 2])
-    assert encode("ABACAB", AZ, picker) == [0, 1, 26, 54, 26, 53]
+    assert encode("ABACAB", AZ, [0, 0, 1, 2, 1, 2]) == [0, 1, 26, 54, 26, 53]
+
+
+@pytest.mark.parametrize("lifts", [[0, 1], [0, 0, 0, 0], [0, -1, 0]], ids=["short", "long", "negative"])
+def test_bad_lifts_are_refused(lifts):
+    with pytest.raises(ParameterError):
+        encode("ABC", AZ, lifts)
+
+
+def test_seeded_lifts_draw_in_order():
+    assert seeded_lifts(4, 9, 5) == seeded_lifts(4, 9, 8)[:5]
+    assert all(0 <= k <= 9 for k in seeded_lifts(4, 9, 100))
 
 
 def test_empty_text():
@@ -43,7 +52,7 @@ def test_unknown_character():
 
 def test_ceiling_enforced():
     with pytest.raises(ParameterError):
-        encode("A", AZ, fixed_picker([10]), ceiling=100)
+        encode("A", AZ, [10], ceiling=100)
 
 
 def test_prime_length_flag():
@@ -56,13 +65,18 @@ def test_duplicate_symbols_rejected():
         Alphabet("ABA")
 
 
+@pytest.mark.parametrize("symbols", [["AB", "C", "D"], ["A", ""]], ids=["two", "empty"])
+def test_symbols_are_single_characters(symbols):
+    with pytest.raises(ParameterError):
+        Alphabet(symbols)
+
+
 @given(
     st.text(alphabet=[chr(ord("A") + i) for i in range(26)], max_size=40),
     st.integers(0, 2**16),
 )
 def test_round_trip_under_any_picker(text, seed):
-    picker = seeded_picker(seed, 2**10)
-    assert decode(encode(text, AZ, picker), AZ) == text
+    assert decode(encode(text, AZ, seeded_lifts(seed, 2**10, len(text))), AZ) == text
 
 
 @given(st.lists(st.integers(0, 10**9), max_size=30))

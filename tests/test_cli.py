@@ -88,12 +88,81 @@ def test_known_answer(argv, expected):
     assert run_cli(argv) == (0, expected, "")
 
 
-def test_every_verb_is_dispatched_by_some_test():
+def working_argvs():
+    """Every argv the suite runs to success: golden cases, help examples, known answers."""
     argvs = [case["argv"] for case in json.loads((ROOT / "bench" / "cli_golden.json").read_text())]
     argvs += [argv for group in GROUPS for argv, _ in iter_examples(help_text(group))]
-    argvs += [argv for argv, _ in KNOWN_ANSWERS]
-    run = {tuple(argv[:2]) for argv in argvs}
+    return argvs + [argv for argv, _ in KNOWN_ANSWERS]
+
+
+def test_every_verb_is_dispatched_by_some_test():
+    run = {tuple(argv[:2]) for argv in working_argvs()}
     assert [gv for gv in VERBS if gv not in run] == []
+
+
+# the verbs that encode text (--seed draws its lifts) or decode it, and keygen's seed
+SEED_READERS = {("rsa", "encrypt"), ("compcipher", "encrypt"), ("monoidcipher", "encrypt"),
+                ("monoidcipher", "keygen")}
+ALPHABET_READERS = {(g, v) for g in ("rsa", "compcipher", "monoidcipher")
+                    for v in ("encrypt", "decrypt")}
+REFUSERS = [gv for gv in VERBS if gv not in SEED_READERS & ALPHABET_READERS]
+
+
+@pytest.mark.parametrize("group,verb", REFUSERS, ids=[f"{g}-{v}" for g, v in REFUSERS])
+def test_seed_and_alphabet_file_exist_only_where_they_are_read(group, verb):
+    argv = next(a for a in working_argvs() if tuple(a[:2]) == (group, verb))
+    for flag, readers in (("--seed", SEED_READERS), ("--alphabet-file", ALPHABET_READERS)):
+        if (group, verb) in readers:
+            continue
+        code, out, err = run_cli([*argv, f"{flag}=1"])
+        assert (code, out) == (2, ""), flag
+        assert f"{flag}=1" in err.splitlines()[-1]  # unrecognized, or (exchange) ambiguous
+
+
+MC_KEY = ["--p", "1000003", "--x", "318033", "--a", "108178,756251"]
+CC_KEY = ["--f", "poly[aff(1,1,26)]", "--g", "poly[aff(3,0,26)]"]
+RSA_KEY = ["--p", "61", "--q", "53", "--e", "17"]
+# seeded lifts and alphabet files; A-E stands for a file with the lines A to E
+SEEDED_TEXT = [
+    (["rsa", "encrypt", *RSA_KEY, "--text", "HELLO", "--seed", "1"], "1393 692 1123 1591 2552"),
+    (["rsa", "encrypt", *RSA_KEY, "--text", "HELLO", "--seed", "2"], "1939 1004 161 1929 1538"),
+    (["rsa", "encrypt", *RSA_KEY, "--text", "EDCBA", "--seed", "3", "--alphabet-file", "A-E"],
+     "2003 1641 579 1962 930"),
+    (["rsa", "decrypt", *RSA_KEY, "--values", "2003 1641 579 1962 930", "--as-text",
+      "--alphabet-file", "A-E"], "EDCBA"),
+    (["compcipher", "encrypt", *CC_KEY, "--text", "HELLO", "--seed", "5"],
+     "5 8 21 5 12 12 7 12 7 15 16"),
+    (["compcipher", "encrypt", *CC_KEY, "--text", "DEAD", "--seed", "5", "--alphabet-file", "A-E"],
+     "4 24 17 15 16 11 4 24 17"),
+    (["compcipher", "decrypt", *CC_KEY, "--cipher", "4 24 17 15 16 11 4 24 17", "--as-text",
+      "--alphabet-file", "A-E"], "DEAD"),
+    (["monoidcipher", "encrypt", *MC_KEY, "--text", "HELLO", "--seed", "9"],
+     "931433 882748 917321 914288 892773"),
+    (["monoidcipher", "encrypt", *MC_KEY, "--text", "ABE", "--seed", "9", "--alphabet-file", "A-E"],
+     "417228 127396 155528"),
+    (["monoidcipher", "decrypt", *MC_KEY, "--values", "417228 127396 155528", "--as-text",
+      "--alphabet-file", "A-E"], "ABE"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", SEEDED_TEXT, ids=[f"{a[0]}-{a[1]}-{e}" for a, e in SEEDED_TEXT]
+)
+def test_seeded_text_is_pinned(tmp_path, argv, expected):
+    alphabet = tmp_path / "a-to-e.txt"
+    alphabet.write_text("A\nB\nC\nD\nE\n")
+    argv = [str(alphabet) if a == "A-E" else a for a in argv]
+    assert run_cli(argv) == (0, expected + "\n", "")
+
+
+def test_multi_character_alphabet_symbol_is_refused(tmp_path):
+    alphabet = tmp_path / "ab.txt"
+    alphabet.write_text("AB\nC\nD\n")
+    argv = ["rsa", "decrypt", "--p", "3", "--q", "11", "--e", "3", "--values", "0 3 6",
+            "--as-text", "--alphabet-file", str(alphabet)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("ERR:parameter: ")
 
 
 @pytest.mark.parametrize("group,verb", VERBS, ids=[f"{g}-{v}" for g, v in VERBS])
@@ -236,6 +305,12 @@ def test_exchange_compcipher_mode(tmp_path):
     assert (code, out) == (0, "replay ok\n")
 
 
+def test_exchange_run_names_the_polynomial_flags():
+    code, out, err = run_cli(["exchange", "run", "--mode", "compcipher", "--f", "poly[aff(3,1,26)]"])
+    _assert_clean_error(code, out, err, "ERR:parameter: ")
+    assert "compcipher mode needs --f and --g-poly" in err
+
+
 def _assert_clean_error(code, out, err, prefix):
     assert (code, out) == (1, "")
     assert err.startswith(prefix), err
@@ -265,6 +340,21 @@ def test_out_of_range_compcipher_ciphertext_is_a_parameter_error():
     )
     _assert_clean_error(code, out, err, "ERR:parameter: ")
     assert "ciphertext value 27 at position 0 is outside [0, 26)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rsa", "decrypt", "--p", "3", "--q", "11", "--e", "3"],
+        ["monoidcipher", "decrypt", "--p", "29", "--x", "2", "--a", "3"],
+        ["frac", "encrypt", "--alpha", "29", "--k", "7"],
+        ["frac", "decrypt", "--alpha", "29", "--k", "7"],
+    ],
+    ids=["rsa-decrypt", "monoidcipher-decrypt", "frac-encrypt", "frac-decrypt"],
+)
+def test_missing_values_is_a_parameter_error(argv):
+    code, out, err = run_cli(argv)
+    _assert_clean_error(code, out, err, "ERR:parameter: need --values")
 
 
 def test_non_integer_list_is_a_format_error():
@@ -349,7 +439,7 @@ def test_replaying_a_garbage_file_is_a_format_error(tmp_path):
         (lambda t: t.replace("v1 dh", "v1 foo"), "ERR:format: ", "unrecognized transcript protocol"),
         (lambda t: t.replace("param G=(10)\n", ""), "ERR:format: ", "missing P or G"),
         (lambda t: "exchange v1 composite-agreement\nparam S=26\n", "ERR:parameter: ",
-         "needs --f and --g"),
+         "needs f and g"),
         (lambda t: t.replace("A=(2)", "A=(3)"), "ERR:parameter: ", "does not replay identically"),
     ],
     ids=["unknown-protocol", "dh-without-g", "agreement-without-polys", "dh-altered-msg"],

@@ -37,7 +37,7 @@ PACKAGE_EXPORTS = {
         "monoid_domain": "IrreducibleCertificate MonoidElement NumericalMonoid "
                          "build_irreducible is_irreducible_by_search",
         "ideals": "PrincipalIdeal ideal inverse_ideal reduce_ideal totient_ideal",
-        "alphabet": "Alphabet decode encode fixed_picker seeded_picker upper_latin zero_picker",
+        "alphabet": "Alphabet decode encode seeded_lifts upper_latin",
         "errors": "CeilingError CompalgError EmbeddingError FormatError MembershipError "
                   "NotAUnitError ParameterError RingMismatchError",
     },
