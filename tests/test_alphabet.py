@@ -24,7 +24,9 @@ def test_lifted_encoding():
     assert encode("ABACAB", AZ, [0, 0, 1, 2, 1, 2]) == [0, 1, 26, 54, 26, 53]
 
 
-@pytest.mark.parametrize("lifts", [[0, 1], [0, 0, 0, 0], [0, -1, 0]], ids=["short", "long", "negative"])
+@pytest.mark.parametrize(
+    "lifts", [[0, 1], [0, 0, 0, 0], [0, -1, 0]], ids=["short", "long", "negative"]
+)
 def test_bad_lifts_are_refused(lifts):
     with pytest.raises(ParameterError):
         encode("ABC", AZ, lifts)
