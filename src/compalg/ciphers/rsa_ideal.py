@@ -19,14 +19,31 @@ from ..ideals import PrincipalIdeal, inverse_ideal, totient_ideal
 from ..textio import ideal_text, key_record_text, parse_ideal, parse_key_record
 
 
+def _check_exponent(e: int, phi: int):
+    if not 1 < e < phi:
+        raise ParameterError(f"e = {e} must satisfy 1 < e < phi = {phi}")
+    if gcd(e, phi) != 1:
+        raise ParameterError(f"gcd(e, phi) = {gcd(e, phi)} != 1")
+
+
 @dataclass(frozen=True)
 class RsaIdealKey:
-    """Full key material; (modulus, e) is notionally public, (d, phi) private."""
+    """Full key material; (modulus, e) is notionally public, (d, phi) private.
+
+    Construction checks e in (1, phi) and e*d = 1 mod phi, so a key read
+    from a file decrypts what it encrypts.
+    """
 
     modulus: PrincipalIdeal  # N = PQ
     e: PrincipalIdeal
     d: PrincipalIdeal
     phi: PrincipalIdeal
+
+    def __post_init__(self):
+        e, d, phi = self.e.generator, self.d.generator, self.phi.generator
+        _check_exponent(e, phi)
+        if e * d % phi != 1:
+            raise ParameterError(f"e*d = {e * d} is not 1 mod phi = {phi}")
 
 
 def rsa_keygen(p: PrincipalIdeal, q: PrincipalIdeal, e: PrincipalIdeal) -> RsaIdealKey:
@@ -36,13 +53,8 @@ def rsa_keygen(p: PrincipalIdeal, q: PrincipalIdeal, e: PrincipalIdeal) -> RsaId
     generators, e out of the open range (1, phi), or gcd(e, phi) != 1.
     """
     phi = totient_ideal(p, q)  # checks primality and distinctness
-    ev, phiv = e.generator, phi.generator
-    if not 1 < ev < phiv:
-        raise ParameterError(f"e = {ev} must satisfy 1 < e < phi = {phiv}")
-    if gcd(ev, phiv) != 1:
-        raise ParameterError(f"gcd(e, phi) = {gcd(ev, phiv)} != 1")
-    d = inverse_ideal(e, phi)
-    return RsaIdealKey(p * q, e, d, phi)
+    _check_exponent(e.generator, phi.generator)
+    return RsaIdealKey(p * q, e, inverse_ideal(e, phi), phi)
 
 
 def rsa_encrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:

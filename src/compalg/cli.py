@@ -357,6 +357,8 @@ def cmd_frac_encrypt(args):
     from .ciphers.fractional import FractionalKey, frac_encrypt
 
     key = FractionalKey(args.alpha, args.k)
+    if args.x is None and args.values is None:
+        raise ParameterError("need --x or --values")
     values = [args.x] if args.x is not None else _parse_values(args.values)
     return _int_line("cipher", frac_encrypt(values, key))
 
@@ -365,6 +367,8 @@ def cmd_frac_decrypt(args):
     from .ciphers.fractional import FractionalKey, frac_decrypt
 
     key = FractionalKey(args.alpha, args.k)
+    if args.y is None and args.values is None:
+        raise ParameterError("need --y or --values")
     values = [args.y] if args.y is not None else _parse_values(args.values)
     return _int_line("values", frac_decrypt(values, key))
 
@@ -389,8 +393,11 @@ def _compcipher_key(args):
     from .textio import parse_key_record
 
     if args.key:
-        fields = parse_key_record(_read_text(args.key), "composite-cipher", ("F", "G"))
-        return parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
+        fields = parse_key_record(_read_text(args.key), "composite-cipher", ("S", "F", "G"))
+        f, g = parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
+        if {str(f.input_size), str(g.input_size)} != {fields["S"]}:
+            raise ParameterError(f"key record S={fields['S']} is not the input size of F and G")
+        return f, g
     if args.f is None or args.g is None:
         raise ParameterError("need --key or both --f and --g")
     return parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g)
@@ -766,10 +773,12 @@ def _epilog(examples: list[tuple[str, list[str]]]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is accepted only as spelled in GROUPS, never as a prefix
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact algebra on tower-constrained polynomial subrings, "
         "monoid domains, and the toy ciphers built on them.",
+        allow_abbrev=False,
     )
     top = parser.add_subparsers(dest="group", required=True, metavar="SUBCOMMAND")
     for name, (help_text, examples, verbs) in GROUPS.items():
@@ -778,9 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=help_text,
             epilog=_epilog(examples),
             formatter_class=argparse.RawDescriptionHelpFormatter,
+            allow_abbrev=False,
         ).add_subparsers(dest="verb", required=True, metavar="VERB")
         for verb, (func, arguments) in verbs.items():
-            p = sub.add_parser(verb)
+            p = sub.add_parser(verb, allow_abbrev=False)
             p.set_defaults(func=func, parser=p)
             for flags, kwargs in [*COMMON, *arguments]:
                 p.add_argument(*flags, **kwargs)

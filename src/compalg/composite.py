@@ -43,20 +43,12 @@ class Tower:
         levels, top = tuple(self.levels), self.top
         if not levels:
             raise ParameterError("a tower needs at least one level")
+        # declared embeddings compose, so the chain reaches the top from every level
         for lo, hi in zip(levels, levels[1:] + (top,)):
             if not has_embedding(lo, hi):
-                raise ParameterError(
-                    f"no declared embedding {lo.name()} -> {hi.name()}"
-                )
-        for lvl in levels:
-            if not has_embedding(lvl, top):
-                raise ParameterError(
-                    f"no declared embedding {lvl.name()} -> {top.name()}"
-                )
-            if lvl != top and lvl.size() is None:
-                raise ParameterError(
-                    f"infinite proper level {lvl.name()} is not supported"
-                )
+                raise ParameterError(f"no declared embedding {lo.name()} -> {hi.name()}")
+            if lo != top and lo.size() is None:
+                raise ParameterError(f"infinite proper level {lo.name()} is not supported")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -193,11 +185,9 @@ class CompositeElement:
         self._require_fields("is_irreducible")
         if self.is_zero() or self.is_unit():
             raise ParameterError("irreducibility is undefined for zero and units")
-        if self.tower.depth == 1:
-            return self.poly.is_irreducible()
-        if self.poly.is_irreducible():
-            return True
-        return _find_factorization(self) is None
+        return self.poly.is_irreducible() or (
+            self.tower.depth > 1 and _find_factorization(self) is None
+        )
 
     def _require_fields(self, opname: str):
         if not self.tower.fields_mode:
@@ -208,25 +198,17 @@ class CompositeElement:
 # exhaustive searches
 
 
-def _check_search_ceiling(f: CompositeElement):
-    size = f.tower.top.size()
-    if size is None or size > SEARCH_MAX_FIELD_SIZE:
-        raise CeilingError(
-            f"top field size exceeds search ceiling {SEARCH_MAX_FIELD_SIZE}"
-        )
-    if f.degree() > SEARCH_MAX_DEGREE:
-        raise CeilingError(
-            f"degree {f.degree()} exceeds search ceiling {SEARCH_MAX_DEGREE}"
-        )
-
-
 def _find_factorization(
     f: CompositeElement,
 ) -> Optional[tuple[CompositeElement, CompositeElement]]:
     """Smallest-degree proper divisor g with level-respecting cofactor, or None.
     Every search starts here, so the ceiling is checked here."""
-    _check_search_ceiling(f)
     tower, top = f.tower, f.tower.top
+    size = top.size()
+    if size is None or size > SEARCH_MAX_FIELD_SIZE:
+        raise CeilingError(f"top field size exceeds search ceiling {SEARCH_MAX_FIELD_SIZE}")
+    if f.degree() > SEARCH_MAX_DEGREE:
+        raise CeilingError(f"degree {f.degree()} exceeds search ceiling {SEARCH_MAX_DEGREE}")
     pools = (
         [tower.level_values(i) for i in range(d)]
         + [[v for v in tower.level_values(d) if v != top.zero_value]]
@@ -277,22 +259,12 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
     low = f.poly.coeff(r)
     unit_part = Polynomial._from_values(top, values[r:]).scale(low.inverse())  # constant term 1
 
-    atoms: list[CompositeElement] = []
-    if r > 0:
-        atoms.append(CompositeElement.make(tower, [top.zero(), low]))
-        x_atom = CompositeElement.make(tower, [top.zero(), top.one()])
-        atoms.extend([x_atom] * (r - 1))
-
-    normalized: list[CompositeElement] = []
+    atoms = [Polynomial._from_values(top, (top.zero_value, top.one_value))] * r  # X^r
     if unit_part.degree() >= 1:
         for q, mult in unit_part.factor().factors:
-            q1 = q.scale(q.constant().inverse())
-            normalized.extend(CompositeElement(tower, q1) for _ in range(mult))
-    if r == 0:
-        # fold the leading constant of f into the first normalized factor
-        normalized[0] = CompositeElement(tower, normalized[0].poly.scale(low))
-    atoms.extend(normalized)
-    return atoms
+            atoms += [q.scale(q.constant().inverse())] * mult
+    atoms[0] = atoms[0].scale(low)  # the spare constant of f
+    return [CompositeElement(tower, a) for a in atoms]
 
 
 def _atomize_by_search(f: CompositeElement) -> list[CompositeElement]:
@@ -333,16 +305,6 @@ def divisor_chain(f: CompositeElement, max_steps: int) -> DivisorChain:
     if f.is_zero() or f.is_unit():
         raise ParameterError("divisor chains are undefined for zero and units")
     chain = [f]
-    current = f
-    terminated = False
-    while len(chain) - 1 < max_steps:
-        split = _find_factorization(current)
-        if split is None:
-            terminated = True
-            break
-        _, cofactor = split
-        chain.append(cofactor)
-        current = cofactor
-    else:
-        terminated = _find_factorization(current) is None
-    return DivisorChain(tuple(chain), terminated)
+    while (split := _find_factorization(chain[-1])) is not None and len(chain) <= max_steps:
+        chain.append(split[1])
+    return DivisorChain(tuple(chain), split is None)

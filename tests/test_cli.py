@@ -116,7 +116,7 @@ def test_seed_and_alphabet_file_exist_only_where_they_are_read(group, verb):
             continue
         code, out, err = run_cli([*argv, f"{flag}=1"])
         assert (code, out) == (2, ""), flag
-        assert f"{flag}=1" in err.splitlines()[-1]  # unrecognized, or (exchange) ambiguous
+        assert f"{flag}=1" in err.splitlines()[-1]
 
 
 MC_KEY = ["--p", "1000003", "--x", "318033", "--a", "108178,756251"]
@@ -323,14 +323,54 @@ def _assert_clean_error(code, out, err, prefix):
         ("rsa", "rsa-ideal v1 N=(33) E D=(7) PHI=(20)"),
         ("monoidcipher", "monoid-cipher v1 P=29 X=2 A"),
         ("compcipher", "composite-cipher v1 S=26"),
+        ("compcipher", "composite-cipher v1 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]"),
     ],
-    ids=["rsa", "monoidcipher", "compcipher"],
+    ids=["rsa", "monoidcipher", "compcipher", "compcipher-no-S"],
 )
 def test_malformed_key_record_is_a_format_error(tmp_path, group, record):
     key_path = tmp_path / "key.txt"
     key_path.write_text(record + "\n")
     code, out, err = run_cli([group, "encrypt", "--key", str(key_path), "--values", "1"])
     _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+@pytest.mark.parametrize(
+    "argv,record,message",
+    [
+        (["rsa", "decrypt", "--values", "6 0"], "rsa-ideal v1 N=(33) E=(3) D=(5) PHI=(20)",
+         "e*d = 15 is not 1 mod phi = 20"),
+        (["rsa", "encrypt", "--values", "2 5"], "rsa-ideal v1 N=(33) E=(4) D=(7) PHI=(20)",
+         "gcd(e, phi) = 4 != 1"),
+        (["rsa", "encrypt", "--values", "2 5"], "rsa-ideal v1 N=(33) E=(21) D=(1) PHI=(20)",
+         "e = 21 must satisfy 1 < e < phi = 20"),
+        (["compcipher", "encrypt", "--text", "AB"],
+         "composite-cipher v1 S=27 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]",
+         "key record S=27 is not the input size of F and G"),
+    ],
+    ids=["rsa-d", "rsa-e", "rsa-e-range", "compcipher-s"],
+)
+def test_inconsistent_key_record_is_a_parameter_error(tmp_path, argv, record, message):
+    key_path = tmp_path / "key.txt"
+    key_path.write_text(record + "\n")
+    code, out, err = run_cli([*argv[:2], "--key", str(key_path), *argv[2:]])
+    assert (code, out, err) == (1, "", f"ERR:parameter: {message}\n")
+
+
+# flags are spelled in full: a unique prefix of a flag is not that flag
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["rsa", "encrypt", "--p", "3", "--q", "11", "--e", "3", "--te", "AB"],
+         "unrecognized arguments: --te AB"),
+        (["frac", "encrypt", "--al", "29", "--k", "7", "--x", "5"],
+         "the following arguments are required: --alpha"),
+    ],
+    ids=["rsa-te", "frac-al"],
+)
+def test_flag_prefixes_are_refused(argv, error):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"{cli.PROG} {argv[0]} {argv[1]}: error: {error}"
 
 
 def test_out_of_range_compcipher_ciphertext_is_a_parameter_error():
@@ -343,18 +383,18 @@ def test_out_of_range_compcipher_ciphertext_is_a_parameter_error():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["rsa", "decrypt", "--p", "3", "--q", "11", "--e", "3"],
-        ["monoidcipher", "decrypt", "--p", "29", "--x", "2", "--a", "3"],
-        ["frac", "encrypt", "--alpha", "29", "--k", "7"],
-        ["frac", "decrypt", "--alpha", "29", "--k", "7"],
+        (["rsa", "decrypt", "--p", "3", "--q", "11", "--e", "3"], "need --values"),
+        (["monoidcipher", "decrypt", "--p", "29", "--x", "2", "--a", "3"], "need --values"),
+        (["frac", "encrypt", "--alpha", "29", "--k", "7"], "need --x or --values"),
+        (["frac", "decrypt", "--alpha", "29", "--k", "7"], "need --y or --values"),
     ],
     ids=["rsa-decrypt", "monoidcipher-decrypt", "frac-encrypt", "frac-decrypt"],
 )
-def test_missing_values_is_a_parameter_error(argv):
+def test_missing_values_is_a_parameter_error(argv, message):
     code, out, err = run_cli(argv)
-    _assert_clean_error(code, out, err, "ERR:parameter: need --values")
+    assert (code, out, err) == (1, "", f"ERR:parameter: {message}\n")
 
 
 def test_non_integer_list_is_a_format_error():

@@ -21,6 +21,7 @@ from compalg import (
     divisor_chain,
     has_nontrivial_factorization,
 )
+from compalg.textio import parse_composite, poly_body_text
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -54,6 +55,17 @@ def test_deep_tower_constrains_linear_coefficient():
 def test_construction_enforces_membership():
     with pytest.raises(MembershipError):
         CompositeElement(T_F2F4, Polynomial(F4, [t]))
+
+
+@pytest.mark.parametrize(
+    "levels,top,missing",
+    [([F3], F4, "F3 -> "), ([F4, F2], F4, " -> F2"), ([F2, F9], F9, "F2 -> ")],
+    ids=["F3<F4", "F4<F2<F4", "F2<F9<F9"],
+)
+def test_tower_needs_every_declared_embedding(levels, top, missing):
+    with pytest.raises(ParameterError, match="no declared embedding") as info:
+        Tower(levels, top)
+    assert missing in str(info.value)
 
 
 def test_arithmetic_stays_inside_the_subring():
@@ -209,6 +221,15 @@ def test_atomize_deep_tower_by_search():
     assert len(atoms) == 2
 
 
+# values recorded before depth-1 atomize folded the spare constant in one place
+@pytest.mark.parametrize(
+    "text,atoms",
+    [("F3<F9:[0,0,2]", ["[0,2]", "[0,1]"]), ("F3<F9:[2,0,2]", ["[2,t]", "[1,t]"])],
+)
+def test_atomize_puts_the_spare_constant_on_the_first_atom(text, atoms):
+    assert [poly_body_text(a.poly) for a in atomize(parse_composite(text))] == atoms
+
+
 # --- quotient evaluation --------------------------------------------------------
 
 
@@ -248,6 +269,14 @@ def test_chain_for_an_atom():
     chain = divisor_chain(elem(T_F2F4, F4.one(), F4.one()), 10)
     assert len(chain.elements) == 1
     assert chain.terminated
+
+
+# X^3 -> X^2 -> X: the cap cuts the chain short, and the last search certifies the atom
+@pytest.mark.parametrize("max_steps,length,terminated", [(0, 1, False), (1, 2, False),
+                                                         (2, 3, True), (3, 3, True)])
+def test_chain_cap(max_steps, length, terminated):
+    chain = divisor_chain(parse_composite("F2<F4:[0,0,0,1]"), max_steps)
+    assert (len(chain.elements), chain.terminated) == (length, terminated)
 
 
 def test_chain_rejects_units():
