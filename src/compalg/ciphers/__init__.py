@@ -2,12 +2,16 @@
 
 All of them are pedagogical and insecure by design; the contract of
 every system is exact round-trip correctness over its valid message
-domain, nothing more.
+domain, nothing more: keys state their domains as ``range``s, and
+``check_domain`` checks every input against them.
 
 Names load from their submodule on first use, like those of ``compalg``.
 """
 
+from typing import Iterable
+
 from .. import _lazy_exports
+from ..errors import ParameterError
 
 _EXPORTS = {
     "rsa_ideal": "RsaIdealKey rsa_keygen rsa_encrypt rsa_decrypt",
@@ -24,3 +28,13 @@ _EXPORTS = {
 
 __all__ = [name for names in _EXPORTS.values() for name in names.split()]
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+
+def check_domain(values: Iterable[int], domain: range, what: str) -> list[int]:
+    """The values as a list; ParameterError names the first one outside the domain."""
+    values = list(values)
+    start, stop = domain.start, domain.stop
+    for i, v in enumerate(values):
+        if not start <= v < stop:
+            raise ParameterError(f"{what} value {v} at position {i} is outside [{start}, {stop})")
+    return values

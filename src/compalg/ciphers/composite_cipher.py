@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
+from . import check_domain
 from ..errors import FormatError, ParameterError
 
 
@@ -131,6 +132,12 @@ class CipherPolynomial:
     def block_length(self) -> int:
         return self.degree + 1
 
+    @property
+    def messages(self) -> range:
+        return range(self.input_size)
+
+    ciphertexts = messages
+
     def descriptor(self) -> str:
         return f"poly[{','.join(c.text for c in self.coeffs)}]"
 
@@ -188,21 +195,17 @@ class CipherText:
 
 
 def composite_cipher_encrypt(values: Sequence[int], key: CipherPolynomial) -> CipherText:
-    """Blockwise encryption; blocks are padded with letter 0."""
-    size = key.input_size
-    for i, v in enumerate(values):
-        if not 0 <= v < size:
-            raise ParameterError(f"letter {v} at position {i} outside [0, {size})")
-    block = key.block_length
-    padded = list(values)
-    if len(padded) % block:
-        padded.extend([0] * (block - len(padded) % block))
+    """Blockwise encryption of letters in [0, s); blocks are padded with letter 0."""
+    size, block = key.input_size, key.block_length
+    padded = check_domain(values, key.messages, "message")
+    length = len(padded)
+    padded += [0] * (-length % block)
     forms = key._normal_forms()
     out: list[int] = []
     for start in range(0, len(padded), block):
         for x, maps in zip(padded[start : start + block], forms):
             out.extend([(a * x + b) % size for a, b in maps])
-    return CipherText(tuple(out), len(values))
+    return CipherText(tuple(out), length)
 
 
 def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[int]:
@@ -214,11 +217,8 @@ def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[
     other output letters must be what its other maps give for it."""
     forms = key._normal_forms()
     per_block = sum(len(maps) for maps in forms)
-    stream = list(cipher.values)
+    stream = check_domain(cipher.values, key.ciphertexts, "ciphertext")
     size = key.input_size
-    for i, y in enumerate(stream):
-        if not 0 <= y < size:
-            raise ParameterError(f"ciphertext value {y} at position {i} is outside [0, {size})")
     if len(stream) % per_block:
         raise ParameterError(
             f"ciphertext length {len(stream)} is not a multiple of {per_block}"
@@ -237,6 +237,28 @@ def composite_cipher_decrypt(cipher: CipherText, key: CipherPolynomial) -> list[
     if cipher.plain_length > len(plain):
         raise ParameterError("recorded plaintext length exceeds decrypted stream")
     return plain[: cipher.plain_length]
+
+
+# key file form: composite-cipher v1 S=26 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]
+
+
+def key_to_text(f: CipherPolynomial, g: CipherPolynomial) -> str:
+    from ..textio import key_record_text
+
+    return key_record_text(
+        "composite-cipher", {"S": f.input_size, "F": f.descriptor(), "G": g.descriptor()}
+    )
+
+
+def key_from_text(text: str) -> tuple[CipherPolynomial, CipherPolynomial]:
+    """The polynomials F and G of a record whose S is the input size of both."""
+    from ..textio import parse_key_record
+
+    fields = parse_key_record(text, "composite-cipher", ("S", "F", "G"))
+    f, g = parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
+    if {str(f.input_size), str(g.input_size)} != {fields["S"]}:
+        raise ParameterError(f"key record S={fields['S']} is not the input size of F and G")
+    return f, g
 
 
 def random_affine_polynomial(

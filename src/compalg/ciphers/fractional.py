@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
+from . import check_domain
 from ..arith import is_prime
 from ..errors import ParameterError
 
@@ -37,57 +38,42 @@ class FractionalKey:
         if gcd(self.k, self.alphabet_size) != 1:
             raise ParameterError("k must be coprime to the alphabet size")
 
+    @property
+    def messages(self) -> range:
+        return range(2, self.alphabet_size + 1)
 
-def _check_plain(x: int, key: FractionalKey):
-    if not 2 <= x <= key.alphabet_size:
-        raise ParameterError(
-            f"letter value {x} is outside [2, {key.alphabet_size}]"
-        )
-
-
-def frac_encrypt_letter(x: int, key: FractionalKey) -> int:
-    _check_plain(x, key)
-    return x * key.k % key.alphabet_size
+    @property
+    def ciphertexts(self) -> range:
+        return range(self.alphabet_size)
 
 
-def frac_decrypt_letter(y: int, key: FractionalKey) -> int:
-    """Solve t = -y * |A|^(-1) mod k, return (y + t|A|)/k; 0 maps to |A|."""
+def frac_encrypt(values: Iterable[int], key: FractionalKey) -> list[int]:
     a, k = key.alphabet_size, key.k
-    if not 0 <= y < a:
-        raise ParameterError(f"ciphertext value {y} is outside [0, {a})")
-    t = (-y * pow(a, -1, k)) % k
-    x = (y + t * a) // k
-    assert (y + t * a) % k == 0
-    x = a if x == 0 else x
-    _check_plain(x, key)
-    return x
+    return [x * k % a for x in check_domain(values, key.messages, "message")]
 
 
-def frac_decrypt_letter_fast_path(y: int, key: FractionalKey) -> Optional[int]:
+def frac_decrypt(values: Iterable[int], key: FractionalKey) -> list[int]:
+    """x = (y + t|A|)/k with t = -y * |A|^(-1) mod k, and 0 mapped to |A|.
+
+    Ciphertexts lie in [0, |A|), but y = k is no letter's image: it decodes
+    to 1, which is refused as outside key.messages."""
+    a, k = key.alphabet_size, key.k
+    inverse = pow(a, -1, k)
+    ys = check_domain(values, key.ciphertexts, "ciphertext")
+    xs = [(y + (-y * inverse % k) * a) // k or a for y in ys]
+    return check_domain(xs, key.messages, "decoded")
+
+
+def frac_decrypt_fast_path(values: Iterable[int], key: FractionalKey) -> list[Optional[int]]:
     """Shortcut using t = (k - (y mod k)) mod k; exact division may fail.
 
     The displayed form of this rule leaves k - d unreduced, but its own
     correctness argument reduces it mod k, which is what we do (the
     unreduced variant shifts every k-divisible y by one alphabet
-    length). Returns None when the division is not exact; agreement
-    with frac_decrypt_letter is guaranteed only when |A| = 1 (mod k).
+    length). Ciphertexts are checked as in frac_decrypt; a letter whose
+    division is not exact decrypts to None, and agreement with
+    frac_decrypt is guaranteed only when |A| = 1 (mod k).
     """
     a, k = key.alphabet_size, key.k
-    t = (k - y % k) % k
-    total = y + t * a
-    if total % k != 0:
-        return None
-    x = total // k
-    return a if x == 0 else x
-
-
-def frac_encrypt(values: Iterable[int], key: FractionalKey) -> list[int]:
-    return [frac_encrypt_letter(x, key) for x in values]
-
-
-def frac_decrypt(values: Iterable[int], key: FractionalKey) -> list[int]:
-    return [frac_decrypt_letter(y, key) for y in values]
-
-
-def frac_decrypt_fast_path(values: Iterable[int], key: FractionalKey) -> list[Optional[int]]:
-    return [frac_decrypt_letter_fast_path(y, key) for y in values]
+    totals = [y + (k - y % k) % k * a for y in check_domain(values, key.ciphertexts, "ciphertext")]
+    return [None if total % k else total // k or a for total in totals]

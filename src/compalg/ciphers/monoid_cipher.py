@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
+from . import check_domain
 from ..arith import factorize, generates_units, is_prime
 from ..errors import FormatError, ParameterError
 from ..textio import key_record_text, parse_key_record
@@ -149,6 +150,14 @@ class MonoidCipherKey:
         if any(not 1 <= a <= p - 1 for a in self.coefficients):
             raise ParameterError(f"coefficients must lie in [1, {p - 1}]")
 
+    @property
+    def messages(self) -> range:
+        return range(self.alphabet_size - 1)
+
+    @property
+    def ciphertexts(self) -> range:
+        return range(1, self.alphabet_size)
+
 
 def monoid_keygen(p: int, rng: random.Random, num_coefficients: int = 8) -> MonoidCipherKey:
     """Sample a primitive root and coefficient list; deterministic per rng."""
@@ -165,32 +174,19 @@ def monoid_keygen(p: int, rng: random.Random, num_coefficients: int = 8) -> Mono
 
 
 def monoid_encrypt(values: Iterable[int], key: MonoidCipherKey) -> list[int]:
-    """d_i = a_i * X^(m_i) mod p; exponents must lie in [0, p-2]."""
-    p, x = key.alphabet_size, key.base
-    coeffs = key.coefficients
-    out = []
-    for i, m in enumerate(values):
-        if not 0 <= m <= p - 2:
-            raise ParameterError(
-                f"message value {m} at position {i} is outside [0, {p - 2}]"
-            )
-        a = coeffs[i % len(coeffs)]
-        out.append(a * pow(x, m, p) % p)
-    return out
+    """d_i = a_i * X^(m_i) mod p, for exponents in key.messages."""
+    p, x, coeffs = key.alphabet_size, key.base, key.coefficients
+    values = check_domain(values, key.messages, "message")
+    return [coeffs[i % len(coeffs)] * pow(x, m, p) % p for i, m in enumerate(values)]
 
 
 def monoid_decrypt(values: Iterable[int], key: MonoidCipherKey) -> list[int]:
-    """m_i = log_X(d_i * a_i^(-1)) mod (p-1); ciphertext must lie in [1, p-1]."""
+    """m_i = log_X(d_i * a_i^(-1)) mod (p-1), for ciphertexts in key.ciphertexts."""
     p, x = key.alphabet_size, key.base
     inverses = [pow(a, -1, p) for a in key.coefficients]
-    out = []
-    for i, d in enumerate(values):
-        if not 1 <= d <= p - 1:
-            raise ParameterError(
-                f"ciphertext value {d} at position {i} is outside [1, {p - 1}]"
-            )
-        out.append(discrete_log_bsgs(x, d * inverses[i % len(inverses)] % p, p))
-    return out
+    values = check_domain(values, key.ciphertexts, "ciphertext")
+    return [discrete_log_bsgs(x, d * inverses[i % len(inverses)] % p, p)
+            for i, d in enumerate(values)]
 
 
 # key file form: monoid-cipher v1 P=29 X=2 A=3,5,7

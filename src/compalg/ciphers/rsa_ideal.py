@@ -11,9 +11,11 @@ security whatsoever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
+from . import check_domain
+from ..arith import is_prime
 from ..errors import ParameterError
 from ..ideals import PrincipalIdeal, inverse_ideal, totient_ideal
 from ..textio import ideal_text, key_record_text, parse_ideal, parse_key_record
@@ -30,8 +32,9 @@ def _check_exponent(e: int, phi: int):
 class RsaIdealKey:
     """Full key material; (modulus, e) is notionally public, (d, phi) private.
 
-    Construction checks e in (1, phi) and e*d = 1 mod phi, so a key read
-    from a file decrypts what it encrypts.
+    Construction checks e in (1, phi), e*d = 1 mod phi and N = PQ for
+    distinct primes with (P-1)(Q-1) = phi, so a key read from a file
+    decrypts what it encrypts.
     """
 
     modulus: PrincipalIdeal  # N = PQ
@@ -44,6 +47,22 @@ class RsaIdealKey:
         _check_exponent(e, phi)
         if e * d % phi != 1:
             raise ParameterError(f"e*d = {e * d} is not 1 mod phi = {phi}")
+        # P + Q = N - phi + 1, and Q - P is the root of (P + Q)^2 - 4N
+        n = self.modulus.generator
+        total = n - phi + 1
+        square = total * total - 4 * n
+        gap = isqrt(max(square, 0))
+        p, q = (total - gap) // 2, (total + gap) // 2
+        if not (gap and gap * gap == square and is_prime(p) and is_prime(q)):
+            raise ParameterError(
+                f"N = {n} is not PQ for distinct primes with (P-1)(Q-1) = phi = {phi}"
+            )
+
+    @property
+    def messages(self) -> range:
+        return range(self.phi.generator)
+
+    ciphertexts = messages
 
 
 def rsa_keygen(p: PrincipalIdeal, q: PrincipalIdeal, e: PrincipalIdeal) -> RsaIdealKey:
@@ -58,34 +77,15 @@ def rsa_keygen(p: PrincipalIdeal, q: PrincipalIdeal, e: PrincipalIdeal) -> RsaId
 
 
 def rsa_encrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:
-    """C_i = M_i * e mod phi; every M_i must lie in [0, phi)."""
-    phi = key.phi.generator
-    e = key.e.generator
-    out = []
-    for i, m in enumerate(values):
-        if not 0 <= m < phi:
-            raise ParameterError(
-                f"message value {m} at position {i} is outside [0, {phi})"
-            )
-        out.append(m * e % phi)
-    return out
+    """C_i = M_i * e mod phi, for messages in key.messages."""
+    phi, e = key.phi.generator, key.e.generator
+    return [m * e % phi for m in check_domain(values, key.messages, "message")]
 
 
 def rsa_decrypt(values: Iterable[int], key: RsaIdealKey) -> list[int]:
-    """M_i = C_i * d mod phi, exact because e*d = 1 mod phi.
-
-    Every C_i must lie in [0, phi), the range rsa_encrypt produces.
-    """
-    phi = key.phi.generator
-    d = key.d.generator
-    out = []
-    for i, c in enumerate(values):
-        if not 0 <= c < phi:
-            raise ParameterError(
-                f"ciphertext value {c} at position {i} is outside [0, {phi})"
-            )
-        out.append(c * d % phi)
-    return out
+    """M_i = C_i * d mod phi (e*d = 1 mod phi), for ciphertexts in key.ciphertexts."""
+    phi, d = key.phi.generator, key.d.generator
+    return [c * d % phi for c in check_domain(values, key.ciphertexts, "ciphertext")]
 
 
 # key file form: rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)

@@ -17,6 +17,7 @@ from functools import cached_property
 from math import ceil, gcd
 from typing import Iterable, Optional
 
+from . import check_domain
 from ..arith import is_prime
 from ..errors import FormatError, ParameterError
 
@@ -47,6 +48,14 @@ class ZoneKey:
             )
 
     @property
+    def messages(self) -> range:
+        return range(1, self.alphabet_size + 1)
+
+    @property
+    def digits(self) -> range:
+        return range(1, self.sub_size + 1)
+
+    @property
     def zone_count(self) -> int:
         return ceil(self.alphabet_size / self.sub_size)
 
@@ -64,37 +73,25 @@ class ZoneKey:
         return {z: t for t, z in enumerate(self._labels)}
 
 
-def zone_encrypt_letter(v: int, key: ZoneKey) -> tuple[int, int]:
-    p, q, k = key.alphabet_size, key.sub_size, key.k
-    if not 1 <= v <= p:
-        raise ParameterError(f"letter value {v} is outside [1, {p}]")
-    t = (v + q - 1) // q - 1
-    r = v - t * q  # in [1, q]
-    d = r * k % q
-    return key._labels[t], q if d == 0 else d
-
-
-def zone_decrypt_pair(z: int, d: int, key: ZoneKey) -> int:
-    p, q, k = key.alphabet_size, key.sub_size, key.k
-    t = key._zone_of_label.get(z)
-    if t is None:
-        raise ParameterError(f"zone label {z} is outside [0, {key.zone_count})")
-    if not 1 <= d <= q:
-        raise ParameterError(f"digit {d} is outside [1, {q}]")
-    r = d % q * pow(k, -1, q) % q
-    r = q if r == 0 else r
-    v = t * q + r
-    if v > p:
-        raise ParameterError(f"pair {z}:{d} decodes outside the alphabet")
-    return v
-
-
 def zone_encrypt(values: Iterable[int], key: ZoneKey) -> list[tuple[int, int]]:
-    return [zone_encrypt_letter(v, key) for v in values]
+    """v = t*q + r with r in [1, q] becomes (label of zone t, r*k mod q or q)."""
+    q, k, labels = key.sub_size, key.k, key._labels
+    zoned = (divmod(v - 1, q) for v in check_domain(values, key.messages, "message"))
+    return [(labels[t], ((r + 1) * k - 1) % q + 1) for t, r in zoned]
 
 
 def zone_decrypt(pairs: Iterable[tuple[int, int]], key: ZoneKey) -> list[int]:
-    return [zone_decrypt_pair(t, d, key) for t, d in pairs]
+    """(label of zone t, digit d) decodes to t*q + r, r = d/k mod q in [1, q];
+    in the last zone that can pass p, outside key.messages."""
+    pairs = list(pairs)
+    zone_of = key._zone_of_label
+    bad = next((z for z, _ in pairs if z not in zone_of), None)
+    if bad is not None:
+        raise ParameterError(f"zone label {bad} is outside [0, {key.zone_count})")
+    q, inverse = key.sub_size, pow(key.k, -1, key.sub_size)
+    digits = check_domain([d for _, d in pairs], key.digits, "digit")
+    values = [zone_of[z] * q + (d * inverse - 1) % q + 1 for (z, _), d in zip(pairs, digits)]
+    return check_domain(values, key.messages, "decoded")
 
 
 def pairs_to_text(pairs: Iterable[tuple[int, int]]) -> str:

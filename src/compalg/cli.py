@@ -64,19 +64,20 @@ def _load_alphabet(args):
     return alpha.upper_latin()
 
 
-def _message_values(args, domain_top: int) -> list[int]:
-    """Values either straight from --values or encoded from --text, each <= domain_top."""
+def _message_values(args, domain: range) -> list[int]:
+    """Values either straight from --values or encoded from --text into the domain."""
     if args.values is not None:
         return _parse_values(args.values)
     if args.text is not None:
         from . import alphabet as alpha
 
         ab = _load_alphabet(args)
+        top = domain.stop - 1
         lifts = None
         if args.seed is not None:
-            max_k = max(0, (domain_top - ab.cycle) // ab.cycle)
+            max_k = max(0, (top - ab.cycle) // ab.cycle)
             lifts = alpha.seeded_lifts(args.seed, max_k, len(args.text))
-        return alpha.encode(args.text, ab, lifts, domain_top)
+        return alpha.encode(args.text, ab, lifts, top)
     raise ParameterError("need --values or --text")
 
 
@@ -323,7 +324,7 @@ def cmd_rsa_encrypt(args):
     from .ciphers.rsa_ideal import rsa_encrypt
 
     key = _rsa_key(args)
-    return _int_line("cipher", rsa_encrypt(_message_values(args, key.phi.generator - 1), key))
+    return _int_line("cipher", rsa_encrypt(_message_values(args, key.messages), key))
 
 
 def cmd_rsa_decrypt(args):
@@ -388,40 +389,32 @@ def cmd_zone_decrypt(args):
     return _int_line("values", zone_decrypt(pairs_from_text(args.pairs), key))
 
 
-def _compcipher_key(args):
-    from .ciphers.composite_cipher import parse_cipher_polynomial
-    from .textio import parse_key_record
+def _compcipher_keys(args):
+    """F and G, from --key or from --f and --g, and the product key FG."""
+    from .ciphers import composite_cipher as cc
 
     if args.key:
-        fields = parse_key_record(_read_text(args.key), "composite-cipher", ("S", "F", "G"))
-        f, g = parse_cipher_polynomial(fields["F"]), parse_cipher_polynomial(fields["G"])
-        if {str(f.input_size), str(g.input_size)} != {fields["S"]}:
-            raise ParameterError(f"key record S={fields['S']} is not the input size of F and G")
-        return f, g
-    if args.f is None or args.g is None:
+        f, g = cc.key_from_text(_read_text(args.key))
+    elif args.f is None or args.g is None:
         raise ParameterError("need --key or both --f and --g")
-    return parse_cipher_polynomial(args.f), parse_cipher_polynomial(args.g)
+    else:
+        f, g = cc.parse_cipher_polynomial(args.f), cc.parse_cipher_polynomial(args.g)
+    return f, g, cc.composite_cipher_keygen(f, g)
 
 
 def cmd_compcipher_keygen(args):
-    from .ciphers.composite_cipher import composite_cipher_keygen
-    from .textio import key_record_text
+    from .ciphers.composite_cipher import key_to_text
 
-    f, g = _compcipher_key(args)
-    fg = composite_cipher_keygen(f, g)
-    record = key_record_text(
-        "composite-cipher", {"S": f.input_size, "F": f.descriptor(), "G": g.descriptor()}
-    )
-    _write_out(args, record)
+    f, g, fg = _compcipher_keys(args)
+    _write_out(args, key_to_text(f, g))
     return [fg.descriptor()], {"fg": fg.descriptor(), "block": fg.block_length}
 
 
 def cmd_compcipher_encrypt(args):
-    from .ciphers.composite_cipher import composite_cipher_encrypt, composite_cipher_keygen
+    from .ciphers.composite_cipher import composite_cipher_encrypt
 
-    f, g = _compcipher_key(args)
-    fg = composite_cipher_keygen(f, g)
-    cipher = composite_cipher_encrypt(_message_values(args, fg.input_size - 1), fg)
+    _, _, fg = _compcipher_keys(args)
+    cipher = composite_cipher_encrypt(_message_values(args, fg.messages), fg)
     return [cipher.to_text()], {
         "cipher": list(cipher.values),
         "plain_length": cipher.plain_length,
@@ -429,14 +422,9 @@ def cmd_compcipher_encrypt(args):
 
 
 def cmd_compcipher_decrypt(args):
-    from .ciphers.composite_cipher import (
-        CipherText,
-        composite_cipher_decrypt,
-        composite_cipher_keygen,
-    )
+    from .ciphers.composite_cipher import CipherText, composite_cipher_decrypt
 
-    f, g = _compcipher_key(args)
-    fg = composite_cipher_keygen(f, g)
+    _, _, fg = _compcipher_keys(args)
     return _plain(args, composite_cipher_decrypt(CipherText.from_text(args.cipher), fg))
 
 
@@ -471,7 +459,7 @@ def cmd_monoidcipher_encrypt(args):
     from .ciphers.monoid_cipher import monoid_encrypt
 
     key = _monoidcipher_key(args)
-    return _int_line("cipher", monoid_encrypt(_message_values(args, key.alphabet_size - 2), key))
+    return _int_line("cipher", monoid_encrypt(_message_values(args, key.messages), key))
 
 
 def cmd_monoidcipher_decrypt(args):

@@ -47,8 +47,6 @@ class Tower:
         for lo, hi in zip(levels, levels[1:] + (top,)):
             if not has_embedding(lo, hi):
                 raise ParameterError(f"no declared embedding {lo.name()} -> {hi.name()}")
-            if lo != top and lo.size() is None:
-                raise ParameterError(f"infinite proper level {lo.name()} is not supported")
         object.__setattr__(self, "levels", levels)
 
     @property

@@ -43,7 +43,7 @@ class NumericalMonoid:
     """Submonoid of (N0, +) generated by finitely many positive integers."""
 
     generators: tuple[int, ...]
-    # Apery set, built by the first membership query m >= g1
+    # Apery set of three or more generators, built by the first query m >= g1
     _apery: Optional[list] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -62,6 +62,15 @@ class NumericalMonoid:
         g1 = self.generators[0]
         if m < g1:
             return m == 0
+        if len(self.generators) <= 2:
+            # <a, b> = d<a', b'>, and m' = i*a' + j*b' needs i >= 0 for the
+            # least j = m' * b'^(-1) mod a'. One generator is the case b = a.
+            a, b = g1, self.generators[-1]
+            d = gcd(a, b)
+            if m % d:
+                return False
+            m, a, b = m // d, a // d, b // d
+            return m >= m * pow(b, -1, a) % a * b
         if self._apery is None:
             object.__setattr__(self, "_apery", _apery_set(self.generators))
         least = self._apery[m % g1]

@@ -11,6 +11,7 @@ import pytest
 
 from compalg import FormatError, ParameterError, ideal
 from compalg.arith import is_prime, is_primitive_root
+from compalg.ciphers import composite_cipher
 from compalg.ciphers import (
     AffineCipher,
     CipherPolynomial,
@@ -18,6 +19,7 @@ from compalg.ciphers import (
     DhParams,
     FractionalKey,
     MonoidCipherKey,
+    RsaIdealKey,
     ZoneKey,
     cipher_product,
     cipher_sum,
@@ -63,6 +65,16 @@ def test_rsa_keygen_named_failures():
         rsa_keygen(ideal(3), ideal(11), ideal(5))
     with pytest.raises(ParameterError, match="1 < e"):
         rsa_keygen(ideal(3), ideal(11), ideal(1))
+
+
+@pytest.mark.parametrize(
+    "n,d,phi",
+    # phi = 20 belongs to N = 33 = 3*11 only; phi = 16 to 5*5, but the primes must differ
+    [(35, 7, 20), (21, 7, 20), (31, 7, 20), (0, 7, 20), (4, 7, 20), (1001, 7, 20), (25, 11, 16)],
+)
+def test_rsa_key_refuses_a_modulus_that_does_not_match_phi(n, d, phi):
+    with pytest.raises(ParameterError, match=rf"N = {n} is not PQ for distinct primes"):
+        RsaIdealKey(ideal(n), ideal(3), ideal(d), ideal(phi))
 
 
 def test_rsa_round_trip_worked_example():
@@ -722,10 +734,98 @@ def test_monoid_decrypt_rejects_out_of_range_ciphertext():
     key = MonoidCipherKey(29, 2, (3, 5))
     assert monoid_decrypt([3, 5 * 2 % 29], key) == [0, 1]
     for bad in (-5, 0, 29, 1000):
-        with pytest.raises(ParameterError, match=rf"{bad} at position 1 is outside \[1, 28\]"):
+        with pytest.raises(ParameterError, match=rf"{bad} at position 1 is outside \[1, 29\)"):
             monoid_decrypt([7, bad], key)
 
 
 def test_dlog_of_zero_is_an_error():
     with pytest.raises(ParameterError):
         discrete_log_bsgs(2, 0, 29)
+
+
+# --- stated domains -----------------------------------------------------------
+
+RSA = rsa_keygen(ideal(3), ideal(11), ideal(3))
+MONOID = MonoidCipherKey(29, 2, (3, 5))
+AFFINE = CipherPolynomial([AffineCipher(3, 1, 26)])
+FRAC = FractionalKey(29, 7)
+ZONE = ZoneKey(29, 5, 3)
+
+
+def _cc_encrypt(values):
+    return list(composite_cipher_encrypt(values, AFFINE).values)
+
+
+def _cc_decrypt(values):
+    return composite_cipher_decrypt(CipherText(tuple(values), len(values)), AFFINE)
+
+
+# one row per cipher and direction: the range the key states, the range it
+# must be, the word naming the input, the direction and its inverse
+DOMAINS = {
+    "rsa-encrypt": (RSA.messages, range(0, 20), "message",
+                    lambda v: rsa_encrypt(v, RSA), lambda v: rsa_decrypt(v, RSA)),
+    "rsa-decrypt": (RSA.ciphertexts, range(0, 20), "ciphertext",
+                    lambda v: rsa_decrypt(v, RSA), lambda v: rsa_encrypt(v, RSA)),
+    "monoid-encrypt": (MONOID.messages, range(0, 28), "message",
+                       lambda v: monoid_encrypt(v, MONOID), lambda v: monoid_decrypt(v, MONOID)),
+    "monoid-decrypt": (MONOID.ciphertexts, range(1, 29), "ciphertext",
+                       lambda v: monoid_decrypt(v, MONOID), lambda v: monoid_encrypt(v, MONOID)),
+    "compcipher-encrypt": (AFFINE.messages, range(0, 26), "message", _cc_encrypt, _cc_decrypt),
+    "compcipher-decrypt": (AFFINE.ciphertexts, range(0, 26), "ciphertext",
+                           _cc_decrypt, _cc_encrypt),
+    "frac-encrypt": (FRAC.messages, range(2, 30), "message",
+                     lambda v: frac_encrypt(v, FRAC), lambda v: frac_decrypt(v, FRAC)),
+    "frac-decrypt": (FRAC.ciphertexts, range(0, 29), "ciphertext",
+                     lambda v: frac_decrypt(v, FRAC), lambda v: frac_encrypt(v, FRAC)),
+    "frac-fast-path": (FRAC.ciphertexts, range(0, 29), "ciphertext",
+                       lambda v: frac_decrypt_fast_path(v, FRAC), lambda v: frac_encrypt(v, FRAC)),
+    "zone-encrypt": (ZONE.messages, range(1, 30), "message",
+                     lambda v: zone_encrypt(v, ZONE), lambda v: zone_decrypt(v, ZONE)),
+    "zone-decrypt": (ZONE.digits, range(1, 6), "digit",
+                     lambda v: zone_decrypt([(0, d) for d in v], ZONE),
+                     lambda v: [d for _, d in zone_encrypt(v, ZONE)]),
+}
+
+
+def _refusal(call, *args) -> str:
+    with pytest.raises(ParameterError) as refused:
+        call(*args)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("stated,domain,what,run,back", DOMAINS.values(), ids=DOMAINS.keys())
+def test_each_cipher_checks_the_domain_its_key_states(stated, domain, what, run, back):
+    assert stated == domain
+    ends = [domain.start, domain.stop - 1]
+    assert back(run(ends)) == ends
+    bounds = f"[{domain.start}, {domain.stop})"
+    for bad in (domain.start - 1, domain.stop):
+        message = _refusal(run, [domain.start, bad])
+        assert message == f"{what} value {bad} at position 1 is outside {bounds}"
+
+
+def test_frac_refuses_the_ciphertext_no_letter_encrypts_to():
+    # y = k would decode to 1, below the message range [2, |A|]
+    message = _refusal(frac_decrypt, [0, FRAC.k], FRAC)
+    assert message == "decoded value 1 at position 1 is outside [2, 30)"
+
+
+def test_zone_refuses_a_pair_past_the_last_letter():
+    # zone 5 of q = 5 holds 26..30, and 30 is past p = 29
+    message = _refusal(zone_decrypt, [(0, 1), (5, 5)], ZONE)
+    assert message == "decoded value 30 at position 1 is outside [1, 30)"
+
+
+def test_composite_key_record_round_trips():
+    f = parse_cipher_polynomial("poly[aff(3,1,26),sum(aff(5,2,26),aff(7,0,26))]")
+    g = parse_cipher_polynomial("poly[aff(1,0,26)]")
+    text = composite_cipher.key_to_text(f, g)
+    assert text == f"composite-cipher v1 S=26 F={f.descriptor()} G={g.descriptor()}"
+    assert composite_cipher.key_from_text(text) == (f, g)
+
+
+def test_composite_key_record_refuses_a_size_beside_f_and_g():
+    text = "composite-cipher v1 S=27 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]"
+    message = _refusal(composite_cipher.key_from_text, text)
+    assert message == "key record S=27 is not the input size of F and G"

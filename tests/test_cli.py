@@ -343,11 +343,13 @@ def test_malformed_key_record_is_a_format_error(tmp_path, group, record):
          "gcd(e, phi) = 4 != 1"),
         (["rsa", "encrypt", "--values", "2 5"], "rsa-ideal v1 N=(33) E=(21) D=(1) PHI=(20)",
          "e = 21 must satisfy 1 < e < phi = 20"),
+        (["rsa", "encrypt", "--values", "2 5"], "rsa-ideal v1 N=(35) E=(3) D=(7) PHI=(20)",
+         "N = 35 is not PQ for distinct primes with (P-1)(Q-1) = phi = 20"),
         (["compcipher", "encrypt", "--text", "AB"],
          "composite-cipher v1 S=27 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]",
          "key record S=27 is not the input size of F and G"),
     ],
-    ids=["rsa-d", "rsa-e", "rsa-e-range", "compcipher-s"],
+    ids=["rsa-d", "rsa-e", "rsa-e-range", "rsa-n", "compcipher-s"],
 )
 def test_inconsistent_key_record_is_a_parameter_error(tmp_path, argv, record, message):
     key_path = tmp_path / "key.txt"

@@ -126,22 +126,49 @@ def test_queries_below_the_smallest_generator_build_nothing(apery_builds):
 
 
 def test_apery_set_is_built_once_per_monoid(apery_builds):
-    monoid = NumericalMonoid([601, 607])
+    monoid = NumericalMonoid([601, 607, 613])
     for m in range(10**6, 10**6 + 5000, 7):
         monoid.contains(m)
     assert monoid.contains(10**15)
-    assert apery_builds == [(601, 607)]
+    assert apery_builds == [(601, 607, 613)]
 
 
-def test_cli_answers_a_huge_exponent_quickly():
+def test_two_generators_need_no_table(apery_builds):
+    # a 30000000-entry Apery list would not fit the memory of a small machine
+    monoid = NumericalMonoid([30_000_000, 30_000_001])
+    assert not monoid.contains(5_000_000_000)
+    assert monoid.contains(30_000_000 * 4 + 30_000_001 * 3)
+    assert NumericalMonoid([6 * 10**9]).contains(18 * 10**9)
+    assert apery_builds == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 6), st.integers(0, 20_000))
+def test_two_generator_rule_matches_the_apery_set(a, b, d, m):
+    monoid = NumericalMonoid([a * d, b * d])
+    least = monoid_domain._apery_set(monoid.generators)[m % monoid.generators[0]]
+    assert monoid.contains(m) == (least is not None and least <= m)
+
+
+def _cli_child(*argv):
+    """Exit code and stdout of the CLI run in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", "monoid", "contains", "M<2,3>", "100000000"],
+        [sys.executable, "-m", "compalg.cli", *argv],
         env=env, capture_output=True, text=True, timeout=30,
     )
-    assert (done.returncode, done.stdout) == (0, "true\n"), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, done.stdout
+
+
+def test_cli_answers_a_huge_exponent_quickly():
+    assert _cli_child("monoid", "contains", "M<2,3>", "100000000") == (0, "true\n")
+
+
+def test_cli_answers_two_huge_generators_without_a_table():
+    assert _cli_child("monoid", "contains", "M<30000000,30000001>", "5000000000") == (0, "false\n")
 
 
 # --- elements -------------------------------------------------------------

@@ -88,9 +88,9 @@ def test_a_built_tower_level_table_stays_out_of_equality():
 
 
 def test_a_built_apery_set_stays_out_of_equality():
-    built = NumericalMonoid([3, 5])
+    built = NumericalMonoid([3, 5, 7])
     assert built.contains(10**6)
-    fresh = NumericalMonoid([5, 3])
+    fresh = NumericalMonoid([7, 5, 3])
     assert built._apery is not None and fresh._apery is None
     assert built == fresh and hash(built) == hash(fresh)
     assert {built: 1}[fresh] == 1
