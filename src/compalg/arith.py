@@ -8,8 +8,9 @@ reproducible rather than probabilistic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
-from .errors import ParameterError
+from .errors import ParameterError, check_work
 
 # Witnesses proving Miller-Rabin deterministic for n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -70,6 +71,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
+    check_work(isqrt(n), "listing divisors by trial division")
     small, large = [], []
     d = 1
     while d * d <= n:

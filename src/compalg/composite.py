@@ -12,9 +12,9 @@ that criterion is only sound in one direction (irreducible in B[X]
 implies irreducible here); the converse fails, e.g. t*X^2 over
 F2 < F2 < F4 has no factorization with level-respecting coefficients
 although it splits as (tX)(X) in B[X]. Where the criterion is silent
-the operations fall back to an exhaustive bounded divisor search; this
-module supplies its pools (the ascending values of each level) and its
-acceptance test (the cofactor respects the levels).
+the operations fall back to an exhaustive divisor search within the work
+budget; this module supplies its pools (the ascending values of each
+level) and its acceptance test (the cofactor respects the levels).
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import CeilingError, MembershipError, ParameterError
+from .errors import MembershipError, ParameterError
 from .poly import Polynomial
 from .rings import Ring, RingElement, dense_find_divisor, embed, has_embedding
-
-#: size ceilings for the exhaustive searches (oracle, chains, deep towers)
-SEARCH_MAX_FIELD_SIZE = 9
-SEARCH_MAX_DEGREE = 4
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -177,8 +173,8 @@ class CompositeElement:
         Single-level tower: equivalent to irreducibility in B[X] (the
         constant term lies in A0 by construction). Deeper towers: B[X]
         irreducibility is still sufficient; otherwise an exhaustive
-        bounded divisor search decides, since reducibility in B[X] does
-        not force level-respecting factors.
+        divisor search within the work budget decides, since reducibility
+        in B[X] does not force level-respecting factors.
         """
         self._require_fields("is_irreducible")
         if self.is_zero() or self.is_unit():
@@ -199,14 +195,8 @@ class CompositeElement:
 def _find_factorization(
     f: CompositeElement,
 ) -> Optional[tuple[CompositeElement, CompositeElement]]:
-    """Smallest-degree proper divisor g with level-respecting cofactor, or None.
-    Every search starts here, so the ceiling is checked here."""
+    """Smallest-degree proper divisor g with level-respecting cofactor, or None."""
     tower, top = f.tower, f.tower.top
-    size = top.size()
-    if size is None or size > SEARCH_MAX_FIELD_SIZE:
-        raise CeilingError(f"top field size exceeds search ceiling {SEARCH_MAX_FIELD_SIZE}")
-    if f.degree() > SEARCH_MAX_DEGREE:
-        raise CeilingError(f"degree {f.degree()} exceeds search ceiling {SEARCH_MAX_DEGREE}")
     pools = (
         [tower.level_values(i) for i in range(d)]
         + [[v for v in tower.level_values(d) if v != top.zero_value]]
@@ -223,10 +213,10 @@ def _find_factorization(
 def has_nontrivial_factorization(f: CompositeElement) -> bool:
     """Exhaustive oracle: does f = g*h with both factors nonunits exist?
 
-    Complete within the documented ceilings. Cofactors are obtained by
-    exact division, so every factorization with at least one
-    level-respecting divisor of each degree is covered; over a field
-    tower that is all of them.
+    Complete wherever it answers (a search over the work budget raises
+    CeilingError). Cofactors are obtained by exact division, so every
+    factorization with at least one level-respecting divisor of each
+    degree is covered; over a field tower that is all of them.
     """
     f._require_fields("factor search")
     if f.is_zero() or f.is_unit():
@@ -242,7 +232,7 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
     X^r part into r linear atoms and normalizes each B[X] factor of the
     remaining part to constant term 1; the first atom absorbs the spare
     constant so membership holds throughout. Deeper towers fall back to
-    recursive exhaustive splitting within the search ceilings.
+    recursive exhaustive splitting, each search within the work budget.
     """
     f._require_fields("atomize")
     if f.is_zero() or f.is_unit():

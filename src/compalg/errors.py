@@ -4,6 +4,9 @@ Each class carries a short machine-readable ``code`` so the CLI can emit
 ``ERR:<code>: message`` lines without string matching.
 """
 
+#: the most steps (candidate divisors tried, values listed) one search or listing may take
+WORK_BUDGET = 1 << 16
+
 
 class CompalgError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -36,7 +39,7 @@ class EmbeddingError(CompalgError):
 
 
 class CeilingError(CompalgError):
-    """An exhaustive search was asked to exceed its documented size ceiling."""
+    """Work over the budget (``check_work``) or a stated bound, refused before it starts."""
 
     code = "ceiling"
 
@@ -51,3 +54,11 @@ class FormatError(CompalgError):
     """A textual form (ring name, polynomial, key file) failed to parse."""
 
     code = "format"
+
+
+def check_work(steps: int, what: str) -> None:
+    """Refuse, before it starts, work of more than WORK_BUDGET steps."""
+    if steps > WORK_BUDGET:
+        raise CeilingError(
+            f"{what} needs at least {steps} steps, above the work budget {WORK_BUDGET}"
+        )

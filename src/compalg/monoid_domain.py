@@ -34,6 +34,7 @@ from .errors import (
     MembershipError,
     ParameterError,
     RingMismatchError,
+    check_work,
 )
 from .rings import Integers, Ring, RingElement, dense_find_divisor
 
@@ -72,6 +73,7 @@ class NumericalMonoid:
             m, a, b = m // d, a // d, b // d
             return m >= m * pow(b, -1, a) % a * b
         if self._apery is None:
+            check_work(g1, f"the Apery table of {self!r}")
             object.__setattr__(self, "_apery", _apery_set(self.generators))
         least = self._apery[m % g1]
         return least is not None and least <= m
@@ -289,7 +291,7 @@ def is_irreducible_by_search(
 ) -> bool:
     """True when no factorization f = g*h with both factors nonunits exists.
 
-    exponent_bound only caps f's own exponent (a CeilingError above it).
+    exponent_bound caps f's own exponent and the work budget the search (CeilingError).
     The search enumerates candidate divisors g with exponents drawn from
     the monoid members below deg f and coefficients from the bounded box
     ([-coeff_bound, coeff_bound] over Z, the whole ring over a finite
@@ -314,6 +316,7 @@ def is_irreducible_by_search(
         raise ParameterError(f"{ring.name()} is not finite")
 
     monoid, zero = f.monoid, ring.zero_value
+    check_work(f.max_exponent() + 1, "the dense form")
     dense = [zero] * (f.max_exponent() + 1)
     for e, v in f._values:
         dense[e] = v

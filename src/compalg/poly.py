@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import CeilingError, ParameterError, RingMismatchError
+from .errors import CeilingError, ParameterError, RingMismatchError, check_work
 from .rings import (
     Ring,
     RingElement,
@@ -29,7 +29,7 @@ from .rings import (
     dense_trim,
 )
 
-#: hard cap for search_inverse, documented in the operation contract
+#: cap on search_inverse's degree bound: the search recurses once per coefficient
 INVERSE_SEARCH_MAX_BOUND = 8
 
 
@@ -176,6 +176,10 @@ class Polynomial:
             )
         if self.is_zero():
             raise ParameterError("cannot factor the zero polynomial")
+        steps = 0  # the irreducible lists below hold q^d monic candidates of degree d
+        for d in range(1, self.degree() // 2 + 1):
+            steps += ring.size() ** d
+            check_work(steps, "factoring by trial division")
         unit = self.leading()
         rest = self.monic()._values
         factors: list[tuple[Polynomial, int]] = []
@@ -267,6 +271,7 @@ def search_inverse(f: Polynomial, degree_bound: int) -> Optional[Polynomial]:
         raise CeilingError(
             f"degree_bound {degree_bound} exceeds ceiling {INVERSE_SEARCH_MAX_BOUND}"
         )
+    check_work((degree_bound + 1) * ring.size(), "inverse search")
     if f.is_zero():
         return None
     one = ring.one()

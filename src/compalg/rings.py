@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Union
 
 from .arith import is_prime, prime_factors
@@ -40,6 +40,7 @@ from .errors import (
     NotAUnitError,
     ParameterError,
     RingMismatchError,
+    check_work,
 )
 
 Value = Union[int, tuple]
@@ -152,8 +153,14 @@ def dense_exact_quotient(ring: "Ring", a, b) -> Optional[list]:
 
 def dense_find_divisor(ring: "Ring", f, pool_lists, accept) -> Optional[tuple]:
     """The first (g, q) with g*q = f and accept(q), or None. For each list of
-    per-coefficient pools in turn, g runs over ``itertools.product(*pools)``."""
+    per-coefficient pools in turn, g runs over ``itertools.product(*pools)``.
+    Candidates are counted, and refused over the work budget, before the first division."""
+    lists, steps = [], 0
     for pools in pool_lists:
+        steps += prod(map(len, pools))
+        check_work(steps, "divisor search")
+        lists.append(pools)
+    for pools in lists:
         for g in itertools.product(*pools):
             q = dense_exact_quotient(ring, f, g)
             if q is not None and accept(q):
@@ -348,6 +355,7 @@ class IntegersMod(Ring):
         return is_prime(self.n)
 
     def element_values(self):
+        check_work(self.n, f"listing {self.name()}")
         return range(self.n)
 
     def name(self):
@@ -453,6 +461,7 @@ class ExtensionField(Ring):
         return True
 
     def element_values(self):
+        check_work(self.size(), f"listing F({self.p}^{self.degree})")
         # ascending by base-p value, constant coefficient least significant
         return (v[::-1] for v in itertools.product(range(self.p), repeat=self.degree))
 

@@ -563,6 +563,53 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, c
 
 
 @pytest.mark.parametrize(
+    "argv,steps",
+    [
+        (["poly", "oracle", "Z/1000000007:[1,1]", "--bound", "2"], 3000000021),
+        (["poly", "oracle", "F65536:[1,1]", "--bound", "8"], 589824),
+        (["monoid", "oracle", "Z:M<2,3>:{100000000:1,0:3}", "--exp-bound", "100000000",
+          "--coeff-bound", "1"], 100000001),
+        (["monoid", "oracle", "Z:M<2,3>:{2:1,3:1000000000000000000000000}", "--exp-bound", "6",
+          "--coeff-bound", "1"], 1000000000000),
+        (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
+          "--coeff-bound", "40"], 3228504),
+        (["poly", "irreducible", "F3486784401:[1,0,1]"], 88572),
+        (["poly", "irreducible", "F(2199023255552)=F2[t]/(t^41+t^3+1):[0,1]"], 131070),
+        (["monoid", "contains", "M<30000000,30000001,30000002>", "5000000000"], 30000000),
+    ],
+    ids=["inverse-mod-prime", "inverse-f65536", "monoid-dense-form", "monoid-divisors",
+         "monoid-box", "huge-default-field", "huge-explicit-field", "apery-table"],
+)
+def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 600 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert re.fullmatch(
+        rf"ERR:ceiling: .+ needs at least {steps} steps, above the work budget 65536", line
+    ), line
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        "F2<F4:[1,0,0,0,0,1]",  # X^5 + 1 = (X + 1)(X^4 + X^3 + X^2 + X + 1) over F2
+        "F5<F25:[1,0,1]",  # X^2 + 1 = (X + 2)(X + 3) over F5
+    ],
+)
+def test_searches_once_over_the_old_size_ceilings_are_answered(element):
+    assert run_cli(["composite", "oracle", element]) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
     "element,expected",
     [("F2<F4:[1,t]", "member=true unit=false eval0=1\n"), ("F2<F4:[t,1]", "member=false\n")],
 )

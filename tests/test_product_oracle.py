@@ -11,10 +11,13 @@ import itertools
 import pytest
 
 from compalg import Integers, NumericalMonoid, PrimeField
-from compalg.composite import SEARCH_MAX_DEGREE, CompositeElement, has_nontrivial_factorization
+from compalg.composite import CompositeElement, has_nontrivial_factorization
 from compalg.monoid_domain import MonoidElement, is_irreducible_by_search
 from compalg.poly import Polynomial
 from compalg.textio import parse_tower
+
+
+DEGREE = 4
 
 
 def composite_members(tower, degree):
@@ -29,11 +32,11 @@ def composite_members(tower, degree):
 @pytest.mark.parametrize("name", ["F2<F2<F4", "F2<F4<F4"])
 def test_composite_verdicts_match_products(name):
     tower = parse_tower(name)
-    members = {d: list(composite_members(tower, d)) for d in range(1, SEARCH_MAX_DEGREE + 1)}
+    members = {d: list(composite_members(tower, d)) for d in range(1, DEGREE + 1)}
     products = {
         (g * h).poly
-        for dg in range(1, SEARCH_MAX_DEGREE)
-        for dh in range(1, SEARCH_MAX_DEGREE + 1 - dg)
+        for dg in range(1, DEGREE)
+        for dh in range(1, DEGREE + 1 - dg)
         for g in members[dg]
         for h in members[dh]
     }

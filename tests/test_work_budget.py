@@ -1,0 +1,58 @@
+"""The work budget counts exactly the candidates the divisor loop tries.
+
+For one irreducible input of each search kind every candidate is divided
+into f, so the number of ``dense_exact_quotient`` calls is the search's
+whole cost. A budget of exactly that count answers the input; one step
+less refuses it before any division.
+"""
+
+import pytest
+
+from compalg import CeilingError, Integers, NumericalMonoid, PrimeField, errors, rings
+from compalg.composite import has_nontrivial_factorization
+from compalg.monoid_domain import MonoidElement, is_irreducible_by_search
+from compalg.poly import Polynomial
+from compalg.textio import parse_composite
+
+M23 = NumericalMonoid([2, 3])
+TRIAL = Polynomial(PrimeField(2), [1, 1, 0, 1, 1, 0, 0, 0, 1])
+DEEP = parse_composite("F2<F2<F4:[1,1,0,0,1]")
+OVER_F3 = MonoidElement(PrimeField(3), M23, {0: 2, 3: 1, 8: 1})
+OVER_Z = MonoidElement(Integers(), M23, {0: 1, 2: 1, 7: 1})
+
+CASES = {
+    # monic divisors of degree 1 to 4 over F2: 2 + 4 + 8 + 16
+    "trial division": (TRIAL.is_irreducible, True, 30),
+    # divisor degrees 1, 2, 3 with levels F2, F2, F4: 2*1 + 2*2*3 + 2*2*4*3
+    "depth-2 composite": (lambda: has_nontrivial_factorization(DEEP), False, 62),
+    "monoid over F3": (lambda: is_irreducible_by_search(OVER_F3, 8), True, 726),
+    "monoid over Z": (lambda: is_irreducible_by_search(OVER_Z, 7, 2), True, 936),
+}
+
+
+def divisions(monkeypatch, call):
+    count = 0
+    divide = rings.dense_exact_quotient
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return divide(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rings, "dense_exact_quotient", counting)
+        patch.setattr(errors, "WORK_BUDGET", 1 << 30)
+        call()
+    return count
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_the_budget_is_the_count_of_candidates_tried(monkeypatch, kind):
+    call, answer, candidates = CASES[kind]
+    assert divisions(monkeypatch, call) == candidates
+    monkeypatch.setattr(errors, "WORK_BUDGET", candidates)
+    assert call() == answer
+    monkeypatch.setattr(errors, "WORK_BUDGET", candidates - 1)
+    with pytest.raises(CeilingError, match=f"needs at least {candidates} steps, above the work "
+                                           f"budget {candidates - 1}$"):
+        call()
