@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .errors import ParameterError, check_work
+from . import errors
+from .errors import CeilingError, ParameterError, check_work
 
 # Witnesses proving Miller-Rabin deterministic for n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -48,16 +49,21 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, {prime: exponent}."""
+    """Prime factorization of n >= 1, {prime: exponent}: trial division up to
+    the work budget, then a cofactor that is not proven prime is refused."""
     if n < 1:
         raise ParameterError(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= errors.WORK_BUDGET:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n and not (n < _PRIMALITY_LIMIT and is_prime(n)):
+        raise CeilingError(
+            f"factoring {n} needs trial divisors above the work budget {errors.WORK_BUDGET}"
+        )
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

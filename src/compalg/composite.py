@@ -12,9 +12,10 @@ that criterion is only sound in one direction (irreducible in B[X]
 implies irreducible here); the converse fails, e.g. t*X^2 over
 F2 < F2 < F4 has no factorization with level-respecting coefficients
 although it splits as (tX)(X) in B[X]. Where the criterion is silent
-the operations fall back to an exhaustive divisor search within the work
-budget; this module supplies its pools (the ascending values of each
-level) and its acceptance test (the cofactor respects the levels).
+the operations fall back to a divisor search within the work budget,
+pruned on the fast paths and exhaustive in the oracle; this module supplies
+its pools (the ascending values of each level) and its acceptance test
+(the cofactor respects the levels).
 """
 
 from __future__ import annotations
@@ -172,15 +173,15 @@ class CompositeElement:
 
         Single-level tower: equivalent to irreducibility in B[X] (the
         constant term lies in A0 by construction). Deeper towers: B[X]
-        irreducibility is still sufficient; otherwise an exhaustive
-        divisor search within the work budget decides, since reducibility
-        in B[X] does not force level-respecting factors.
+        irreducibility is still sufficient; otherwise a divisor search up
+        to half the degree, within the work budget, decides, since
+        reducibility in B[X] does not force level-respecting factors.
         """
         self._require_fields("is_irreducible")
         if self.is_zero() or self.is_unit():
             raise ParameterError("irreducibility is undefined for zero and units")
         return self.poly.is_irreducible() or (
-            self.tower.depth > 1 and _find_factorization(self) is None
+            self.tower.depth > 1 and _smallest_split(self) is None
         )
 
     def _require_fields(self, opname: str):
@@ -189,18 +190,24 @@ class CompositeElement:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive searches
+# divisor searches
 
 
 def _find_factorization(
-    f: CompositeElement,
+    f: CompositeElement, degrees: range
 ) -> Optional[tuple[CompositeElement, CompositeElement]]:
-    """Smallest-degree proper divisor g with level-respecting cofactor, or None."""
+    """(g, f/g) for the first divisor g of least degree in ``degrees`` whose
+    cofactor respects the levels, or None. Over a field tower degrees add,
+    so ``_smallest_split``'s pruned degrees give the same first split: the
+    least divisor degree is at most deg f / 2, as f = g*h = h*g; after a
+    split (g, h), h has no divisor g' below deg g, or g' would divide f with
+    cofactor g*(h/g'); and g is an atom, or a split a*b would make a smaller.
+    """
     tower, top = f.tower, f.tower.top
     pools = (
         [tower.level_values(i) for i in range(d)]
         + [[v for v in tower.level_values(d) if v != top.zero_value]]
-        for d in range(1, f.degree())
+        for d in degrees
     )
     split = dense_find_divisor(
         top, f.poly._values, pools, lambda q: tower._first_outside(q) is None
@@ -210,18 +217,24 @@ def _find_factorization(
     return tuple(CompositeElement(tower, Polynomial._from_values(top, v)) for v in split)
 
 
+def _smallest_split(f: CompositeElement, lowest: int = 1):
+    """The degrees lowest .. deg f // 2 that can hold f's least divisor."""
+    return _find_factorization(f, range(lowest, f.degree() // 2 + 1))
+
+
 def has_nontrivial_factorization(f: CompositeElement) -> bool:
     """Exhaustive oracle: does f = g*h with both factors nonunits exist?
 
     Complete wherever it answers (a search over the work budget raises
     CeilingError). Cofactors are obtained by exact division, so every
     factorization with at least one level-respecting divisor of each
-    degree is covered; over a field tower that is all of them.
+    degree is covered; over a field tower that is all of them. It does not
+    prune: every degree 1 .. deg f - 1 is tried, so it checks the fast paths.
     """
     f._require_fields("factor search")
     if f.is_zero() or f.is_unit():
         raise ParameterError("factor search is undefined for zero and units")
-    return _find_factorization(f) is not None
+    return _find_factorization(f, range(1, f.degree())) is not None
 
 
 def atomize(f: CompositeElement) -> list[CompositeElement]:
@@ -231,15 +244,22 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
     is a unit of A0. For a single-level tower the construction peels the
     X^r part into r linear atoms and normalizes each B[X] factor of the
     remaining part to constant term 1; the first atom absorbs the spare
-    constant so membership holds throughout. Deeper towers fall back to
-    recursive exhaustive splitting, each search within the work budget.
+    constant so membership holds throughout. Deeper towers split least
+    divisors off the cofactor until it has none, each search within the
+    work budget. A least divisor g of f is an atom, since a split a*b of g
+    would make a a smaller one, so only the cofactor is searched again.
     """
     f._require_fields("atomize")
     if f.is_zero() or f.is_unit():
         raise ParameterError("atomize is undefined for zero and units")
     tower = f.tower
     if tower.depth > 1:
-        return _atomize_by_search(f)
+        atoms = []
+        while (split := _smallest_split(f, atoms[-1].degree() if atoms else 1)) is not None:
+            g, f = split
+            atoms.append(g)
+        atoms.append(f)
+        return sorted(atoms, key=lambda a: (not a.poly.constant().is_zero(), a.poly.sort_key()))
 
     top = tower.top
     values = f.poly._values
@@ -253,16 +273,6 @@ def atomize(f: CompositeElement) -> list[CompositeElement]:
             atoms += [q.scale(q.constant().inverse())] * mult
     atoms[0] = atoms[0].scale(low)  # the spare constant of f
     return [CompositeElement(tower, a) for a in atoms]
-
-
-def _atomize_by_search(f: CompositeElement) -> list[CompositeElement]:
-    split = _find_factorization(f)
-    if split is None:
-        return [f]
-    g, h = split
-    atoms = _atomize_by_search(g) + _atomize_by_search(h)
-    atoms.sort(key=lambda a: (0 if a.poly.constant().is_zero() else 1, a.poly.sort_key()))
-    return atoms
 
 
 @dataclass(frozen=True)
@@ -286,13 +296,16 @@ def divisor_chain(f: CompositeElement, max_steps: int) -> DivisorChain:
 
     Each step strictly drops the degree, which is the empirical witness
     for the ascending chain condition on principal ideals at this scale.
+    A step searches from the last divisor's degree to half the entry's: a
+    smaller divisor of a cofactor would have divided the entry before it.
     """
     if max_steps < 0:
         raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
     f._require_fields("divisor chain")
     if f.is_zero() or f.is_unit():
         raise ParameterError("divisor chains are undefined for zero and units")
-    chain = [f]
-    while (split := _find_factorization(chain[-1])) is not None and len(chain) <= max_steps:
+    chain, lowest = [f], 1
+    while (split := _smallest_split(chain[-1], lowest)) is not None and len(chain) <= max_steps:
         chain.append(split[1])
+        lowest = split[0].degree()
     return DivisorChain(tuple(chain), split is None)

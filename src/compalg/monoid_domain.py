@@ -312,8 +312,6 @@ def is_irreducible_by_search(
     over_z = isinstance(ring, Integers)
     if over_z and (coeff_bound is None or coeff_bound < 1):
         raise ParameterError("a positive coeff_bound is required over Z")
-    if not over_z and ring.size() is None:
-        raise ParameterError(f"{ring.name()} is not finite")
 
     monoid, zero = f.monoid, ring.zero_value
     check_work(f.max_exponent() + 1, "the dense form")

@@ -159,7 +159,7 @@ class Polynomial:
         decided by trial division by every monic polynomial of degree
         up to deg(f)/2.
         """
-        if not self.ring.is_field or self.ring.size() is None:
+        if not self.ring.is_field:
             raise ParameterError(
                 f"irreducibility requires a finite field, not {self.ring.name()}"
             )
@@ -170,7 +170,7 @@ class Polynomial:
     def factor(self) -> "Factorization":
         """Complete factorization over a finite field by trial division."""
         ring = self.ring
-        if not ring.is_field or ring.size() is None:
+        if not ring.is_field:
             raise ParameterError(
                 f"factorization requires a finite field, not {ring.name()}"
             )
@@ -224,8 +224,6 @@ class Factorization:
 
 def all_polynomials(ring: Ring, max_degree: int) -> Iterator[Polynomial]:
     """Every polynomial of degree <= max_degree over a finite ring, canonical order."""
-    if ring.size() is None:
-        raise ParameterError(f"{ring.name()} is not finite")
     values = list(ring.element_values())
     yield Polynomial(ring)
     for d in range(max_degree + 1):
@@ -235,8 +233,6 @@ def all_polynomials(ring: Ring, max_degree: int) -> Iterator[Polynomial]:
 
 def monic_polynomials(ring: Ring, degree: int) -> Iterator[Polynomial]:
     """Monic polynomials of exactly the given degree, canonical order."""
-    if ring.size() is None:
-        raise ParameterError(f"{ring.name()} is not finite")
     for tail in itertools.product(ring.element_values(), repeat=degree):
         yield Polynomial._from_values(ring, (*tail, ring.one_value))
 

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Union
 
-from .arith import is_prime, prime_factors
+from .arith import is_prime
 from .errors import (
     EmbeddingError,
     NotAUnitError,
@@ -97,12 +97,14 @@ def dense_divmod(ring: "Ring", a, b) -> tuple[list, list]:
     """(q, r) with a = b*q + r and deg r < deg b.
 
     The leading coefficient of b must be a unit of the ring; otherwise
-    its ``inverse_value`` raises NotAUnitError.
+    its ``inverse_value`` raises NotAUnitError. A monic b (every trial
+    divisor, every field modulus) skips the inversion and the scaling.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     add, mul, zero = ring.add_values, ring.mul_values, ring.zero_value
-    inv_lead = ring.inverse_value(b[-1])
+    monic = b[-1] == ring.one_value
+    inv_lead = None if monic else ring.inverse_value(b[-1])
     n = len(b) - 1
     low = b[:n]
     rem = list(a)
@@ -112,7 +114,7 @@ def dense_divmod(ring: "Ring", a, b) -> tuple[list, list]:
     for shift in range(len(rem) - len(b), -1, -1):
         top = rem[shift + n]
         if top != zero:
-            c = mul(top, inv_lead)
+            c = top if monic else mul(top, inv_lead)
             q[shift] = c
             c = ring.neg_value(c)
             for i, bi in enumerate(low):
@@ -157,7 +159,8 @@ def dense_find_divisor(ring: "Ring", f, pool_lists, accept) -> Optional[tuple]:
     Candidates are counted, and refused over the work budget, before the first division."""
     lists, steps = [], 0
     for pools in pool_lists:
-        steps += prod(map(len, pools))
+        # a step-1 range, such as the Z box [-c, c], may be too long for len()
+        steps += prod(p.stop - p.start if isinstance(p, range) else len(p) for p in pools)
         check_work(steps, "divisor search")
         lists.append(pools)
     for pools in lists:
@@ -345,8 +348,8 @@ class IntegersMod(Ring):
             raise NotAUnitError(f"{a} is not a unit of {self.name()}") from None
 
     def is_nilpotent_value(self, a):
-        # nilpotent iff every prime of n divides a
-        return all(a % p == 0 for p in prime_factors(self.n))
+        # nilpotent iff a^e = 0 for n's largest prime exponent e, and e < bit_length
+        return pow(a, self.n.bit_length(), self.n) == 0
 
     def size(self):
         return self.n

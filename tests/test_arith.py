@@ -1,10 +1,13 @@
-"""Primality against trial division, across the small-n shortcut, and the
-smallest primitive root against the multiplicative orders."""
+"""Primality against trial division, across the small-n shortcut; factoring
+bounded by the work budget; and the smallest primitive root against the
+multiplicative orders."""
+
+from math import prod
 
 import pytest
 
-from compalg import ParameterError, arith
-from compalg.arith import is_prime, smallest_primitive_root
+from compalg import CeilingError, ParameterError, arith
+from compalg.arith import factorize, is_prime, smallest_primitive_root
 
 
 def _is_prime_by_trial_division(n):
@@ -24,6 +27,20 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
         assert not is_prime(n), n
     for n in (1000003, 2**31 - 1, 2**61 - 1, 18446744073709551557):
         assert is_prime(n), n
+
+
+def test_factorize_divides_up_to_the_budget_then_checks_the_cofactor():
+    for n in range(1, 3000):
+        fac = factorize(n)
+        assert all(map(_is_prime_by_trial_division, fac)), n
+        assert n == prod(p**e for p, e in fac.items()), n
+    assert factorize(2**5 * 3 * 11 * 947) == {2: 5, 3: 1, 11: 1, 947: 1}
+    assert factorize(6 * 166667) == {2: 1, 3: 1, 166667: 1}  # a prime cofactor above 65536
+    assert factorize(2305843009213693967) == {2305843009213693967: 1}
+    for n in (65537 * 65539, 65537**2, 2**64 + 13):  # no factor <= 65536, not shown prime
+        with pytest.raises(CeilingError, match=f"^factoring {n} needs trial divisors above "
+                                               "the work budget 65536$"):
+            factorize(n)
 
 
 def _order(g, p):

@@ -573,12 +573,15 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, c
           "--coeff-bound", "1"], 1000000000000),
         (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
           "--coeff-bound", "40"], 3228504),
+        # 2c + 1 box values at c = 10^20 - 1: len() of that range overflows
+        (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
+          "--coeff-bound", "99999999999999999999"], 1200000000000000000000),
         (["poly", "irreducible", "F3486784401:[1,0,1]"], 88572),
         (["poly", "irreducible", "F(2199023255552)=F2[t]/(t^41+t^3+1):[0,1]"], 131070),
         (["monoid", "contains", "M<30000000,30000001,30000002>", "5000000000"], 30000000),
     ],
     ids=["inverse-mod-prime", "inverse-f65536", "monoid-dense-form", "monoid-divisors",
-         "monoid-box", "huge-default-field", "huge-explicit-field", "apery-table"],
+         "monoid-box", "monoid-huge-box", "huge-default-field", "huge-explicit-field", "apery-table"],
 )
 def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
     env = dict(os.environ)
@@ -596,6 +599,27 @@ def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
     assert re.fullmatch(
         rf"ERR:ceiling: .+ needs at least {steps} steps, above the work budget 65536", line
     ), line
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["ring", "check", "F2305843009213693967:1"], "unit=true nilpotent=false inverse=1\n"),
+        (["ring", "check", "Z/2305843009213693967:5"],
+         "unit=true nilpotent=false inverse=922337203685477587\n"),
+        (["poly", "check", "Z/2305843009213693967:[1,5]"], "unit=false nilpotent=false\n"),
+    ],
+    ids=["prime-field", "z-mod-prime", "poly-mod-prime"],
+)
+def test_a_prime_near_2_to_the_61_is_answered_without_trial_division_to_its_root(argv, expected):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from compalg import (
     divisor_chain,
     has_nontrivial_factorization,
 )
+from compalg.composite import _find_factorization, _smallest_split
 from compalg.textio import parse_composite, poly_body_text
 
 F2 = PrimeField(2)
@@ -301,3 +302,51 @@ def test_every_chain_terminates_with_degree_descent():
         degrees = [e.degree() for e in chain.elements]
         assert degrees == sorted(degrees, reverse=True)
         assert all(a > b for a, b in zip(degrees, degrees[1:]))
+
+
+# --- the pruned searches against the exhaustive one ----------------------------------
+
+
+def exhaustive_split(f):
+    """The split has_nontrivial_factorization searches for: every degree 1 .. deg f - 1."""
+    return _find_factorization(f, range(1, f.degree()))
+
+
+def check_pruned_searches(f):
+    """Each pruning rule against the exhaustive search, along f's whole divisor chain."""
+    split = exhaustive_split(f)
+    assert _smallest_split(f) == split, f  # no least divisor above deg f // 2
+    assert f.is_irreducible() == (split is None), f
+    assert reduce(mul, atomize(f)) == f
+    chain = [f]
+    while split is not None:
+        g, h = split
+        assert exhaustive_split(g) is None, f  # the least divisor is an atom
+        split = exhaustive_split(h)
+        assert _smallest_split(h, g.degree()) == split, f  # h has none below deg g
+        chain.append(h)
+    assert list(divisor_chain(f, f.degree()).elements) == chain, f
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [T_F2F4, T_DEEP, Tower([F2, F4], F4)],
+    ids=["F2<F4", "F2<F2<F4", "F2<F4<F4"],
+)
+def test_pruned_searches_agree_with_the_exhaustive_one_up_to_degree_4(tower):
+    checked = 0
+    for f in all_elements(tower, 4):
+        if not (f.is_zero() or f.is_unit()):
+            check_pruned_searches(f)
+            checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("tower", [T_F3F9, Tower([F3, F3], F9)], ids=["F3<F9", "F3<F3<F9"])
+def test_pruned_searches_agree_with_the_exhaustive_one_on_a_sample(tower):
+    rng = random.Random(21)
+    pools = [tower.level_elements(i) for i in range(5)]
+    for _ in range(40):
+        deg = rng.randrange(2, 5)
+        coeffs = [rng.choice(pools[i]) for i in range(deg)] + [rng.choice(pools[deg][1:])]
+        check_pruned_searches(CompositeElement.make(tower, coeffs))

@@ -1,4 +1,6 @@
-"""Ring arithmetic, unit/nilpotent predicates, and embeddings."""
+"""Ring arithmetic, unit/nilpotent predicates, embeddings, and the division kernel."""
+
+import random
 
 import pytest
 
@@ -14,6 +16,7 @@ from compalg import (
     default_extension_field,
     embed,
 )
+from compalg.rings import dense_divmod
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -174,3 +177,32 @@ def test_canonical_names_round_out():
     assert IntegersMod(12).name() == "Z/12"
     assert PrimeField(5).name() == "F5"
     assert F4.name() == "F(4)=F2[t]/(t^2+t+1)"
+
+
+@pytest.mark.parametrize(
+    "ring,unit", [(IntegersMod(4), 3), (F4, (0, 1)), (F9, (1, 1))], ids=["Z/4", "F4", "F9"]
+)
+def test_division_by_a_monic_divisor_inverts_nothing(monkeypatch, ring, unit):
+    """Same (q, r) as the general path, which divides by unit*b and scales q back."""
+    inverted = []
+    for kind in (IntegersMod, ExtensionField):  # PrimeField, the base of F4 and F9, is Z/p
+
+        def counting(self, a, real=kind.inverse_value):
+            inverted.append(a)
+            return real(self, a)
+
+        monkeypatch.setattr(kind, "inverse_value", counting)
+    rng = random.Random(8)
+    values = list(ring.element_values())
+    mul = ring.mul_values
+    for _ in range(200):
+        a = [rng.choice(values) for _ in range(rng.randrange(8))]
+        b = [rng.choice(values) for _ in range(rng.randrange(1, 4))] + [ring.one_value]
+        while a and a[-1] == ring.zero_value:
+            a.pop()
+        q, r = dense_divmod(ring, a, b)
+        assert inverted == []
+        q_unit, r_unit = dense_divmod(ring, a, [mul(unit, c) for c in b])
+        assert (q, r) == ([mul(unit, c) for c in q_unit], r_unit)
+        assert inverted
+        inverted.clear()

@@ -17,6 +17,7 @@ from compalg.textio import parse_composite
 M23 = NumericalMonoid([2, 3])
 TRIAL = Polynomial(PrimeField(2), [1, 1, 0, 1, 1, 0, 0, 0, 1])
 DEEP = parse_composite("F2<F2<F4:[1,1,0,0,1]")
+FAST = parse_composite("F2<F2<F4:[1,1,t,0,1]")  # splits in F4[X], not in the subring
 OVER_F3 = MonoidElement(PrimeField(3), M23, {0: 2, 3: 1, 8: 1})
 OVER_Z = MonoidElement(Integers(), M23, {0: 1, 2: 1, 7: 1})
 
@@ -56,3 +57,17 @@ def test_the_budget_is_the_count_of_candidates_tried(monkeypatch, kind):
     with pytest.raises(CeilingError, match=f"needs at least {candidates} steps, above the work "
                                            f"budget {candidates - 1}$"):
         call()
+
+
+def test_the_decision_searches_divisor_degrees_up_to_half_the_degree(monkeypatch):
+    # degrees 1 and 2 of 1, 2, 3 with levels F2, F2, F4: 2*1 + 2*2*3 of the oracle's 62
+    assert not FAST.poly.is_irreducible()
+    assert divisions(monkeypatch, lambda: has_nontrivial_factorization(FAST)) == 62
+    # the B[X] criterion is silent on FAST, so skip its trial division and count the search
+    monkeypatch.setattr(Polynomial, "is_irreducible", lambda self: False)
+    assert divisions(monkeypatch, FAST.is_irreducible) == 14
+    monkeypatch.setattr(errors, "WORK_BUDGET", 14)
+    assert FAST.is_irreducible()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 13)
+    with pytest.raises(CeilingError, match="needs at least 14 steps, above the work budget 13$"):
+        FAST.is_irreducible()
