@@ -11,7 +11,9 @@ So every letter cipher is a tuple of affine maps x -> a*x + b (mod s):
 outer product (c*a, c*b + d), first's maps (a, b) outermost. Arity
 multiplies with every ``sum``, so a cipher is kept as syntax whose
 descriptor, built once with it, is its identity, and each key builds
-this normal form once, on its first encryption or decryption.
+this normal form once, on its first encryption or decryption. Each
+cipher records its arity when it is built, so a key whose block would
+emit more letters than the work budget is refused before it is lowered.
 
 The ciphertext records the plaintext length so block padding can be
 stripped; its text form is that length followed by the letter values,
@@ -26,7 +28,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import check_domain
-from ..errors import FormatError, ParameterError
+from ..errors import FormatError, ParameterError, check_work
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -35,13 +37,16 @@ class LetterCipher:
 
     ``parts`` is ``("aff", a, b)``, ``("prod", left, right)`` or
     ``("sum", t0, t1, ..., tk)``, the left-nested sum(...sum(t0,t1)...,tk);
-    ``text`` is the descriptor, and the only field compared. Build ciphers
+    ``arity`` is the number of output letters per input letter: 1 for
+    ``aff``, the sum of the operands' for ``prod``, the product for
+    ``sum``. ``text`` is the descriptor, and the only field compared. Build ciphers
     with ``AffineCipher``, ``cipher_product`` and ``cipher_sum``, which
     validate their arguments.
     """
 
     text: str
     input_size: int = field(compare=False)
+    arity: int = field(compare=False)
     parts: tuple = field(compare=False)
 
     def descriptor(self) -> str:
@@ -58,14 +63,15 @@ def AffineCipher(a: int, b: int, size: int) -> LetterCipher:
     if gcd(a % size, size) != 1:
         raise ParameterError(f"slope {a} is not invertible mod {size}")
     a, b = a % size, b % size
-    return LetterCipher(f"aff({a},{b},{size})", size, ("aff", a, b))
+    return LetterCipher(f"aff({a},{b},{size})", size, 1, ("aff", a, b))
 
 
 def cipher_product(left: LetterCipher, right: LetterCipher) -> LetterCipher:
     """Concatenation: encrypt the letter in both systems and emit both outputs."""
     if left.input_size != right.input_size:
         raise ParameterError("product requires the same input alphabet")
-    return LetterCipher(f"prod({left.text},{right.text})", left.input_size, ("prod", left, right))
+    return LetterCipher(f"prod({left.text},{right.text})", left.input_size,
+                        left.arity + right.arity, ("prod", left, right))
 
 
 def cipher_sum(first: LetterCipher, then: LetterCipher) -> LetterCipher:
@@ -79,7 +85,7 @@ def cipher_sum(first: LetterCipher, then: LetterCipher) -> LetterCipher:
         raise ParameterError("inner output alphabet must equal outer input alphabet")
     terms = first.parts[1:] if first.parts[0] == "sum" else (first,)
     text = f"sum({first.text},{then.text})"
-    return LetterCipher(text, first.input_size, ("sum", *terms, then))
+    return LetterCipher(text, first.input_size, first.arity * then.arity, ("sum", *terms, then))
 
 
 def _normal_form(cipher: LetterCipher) -> tuple[tuple[int, int], ...]:
@@ -146,6 +152,7 @@ class CipherPolynomial:
 
     def _normal_forms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         if not self._lowered:
+            check_work(sum(c.arity for c in self.coeffs), "lowering the key's letter ciphers")
             try:
                 self._lowered.append(tuple([_normal_form(c) for c in self.coeffs]))
             except RecursionError:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import check_domain
 from ..arith import factorize, generates_units, is_prime
-from ..errors import FormatError, ParameterError
+from ..errors import FormatError, ParameterError, check_work
 from ..textio import key_record_text, parse_key_record
 
 
@@ -37,7 +37,8 @@ def _baby_steps(base: int, order: int, p: int) -> tuple[dict[int, int], int, int
 
 
 # A plan holds isqrt(q-1)+1 table entries per prime q of the base's order,
-# so the bound keeps a long-lived process from holding one per key it ever saw.
+# counted against the work budget before the first table is built; the
+# cache bound keeps a long-lived process from holding one per key it ever saw.
 @lru_cache(maxsize=16)
 def _plan(base: int, p: int) -> tuple[int, tuple[tuple, ...]]:
     """Pohlig–Hellman plan for logs to base (reduced mod p) modulo a prime p.
@@ -58,6 +59,8 @@ def _plan(base: int, p: int) -> tuple[int, tuple[tuple, ...]]:
         while exponents[q] and pow(base, n // q, p) == 1:
             n //= q
             exponents[q] -= 1
+    check_work(sum(isqrt(q - 1) + 1 for q, e in exponents.items() if e),
+               f"the Pohlig-Hellman plan for logs to {base} mod {p}")
     parts = []
     for q, e in exponents.items():
         if e:

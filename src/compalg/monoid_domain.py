@@ -12,7 +12,10 @@ irreducible elements of the shape p(r-1)*X^m(r) - ... - p1*X^m2 - X^m1
 and verifies them with a brute-force factorization search. This module
 supplies the search's coefficient pools (a box over Z, the whole ring
 over a finite field, zero at exponents outside M) and its acceptance
-test (the cofactor is supported on M).
+test (the cofactor is supported on M). Over Z it lists one divisor of
+each associate pair g, -g (the positive leading coefficient), and the
+kernel's exact division skips a divisor whose value at 1 or at -1 does
+not divide f's there; over a finite field every candidate is tried.
 
 Restricting to numerical monoids is what keeps everything decidable;
 it also grants the construction's standing hypotheses for free (the
@@ -291,12 +294,21 @@ def is_irreducible_by_search(
 ) -> bool:
     """True when no factorization f = g*h with both factors nonunits exists.
 
-    exponent_bound caps f's own exponent and the work budget the search (CeilingError).
-    The search enumerates candidate divisors g with exponents drawn from
-    the monoid members below deg f and coefficients from the bounded box
-    ([-coeff_bound, coeff_bound] over Z, the whole ring over a finite
-    field); each cofactor is recovered by exact division, so it is not
-    box-limited. Only domains are supported.
+    f's largest exponent above exponent_bound, or a search over the work
+    budget, raises CeilingError. The search enumerates candidate divisors
+    g with exponents drawn from the monoid members below deg f and
+    coefficients from the bounded box ([-coeff_bound, coeff_bound] over
+    Z, the whole ring over a finite field); each cofactor is recovered by
+    exact division, so it is not box-limited. Only domains are supported.
+
+    Over Z two rules skip candidates without changing the verdict:
+
+    - only positive leading coefficients are listed: g and -g are
+      associates, and the box, the constant-term pool and the test that
+      the cofactor lies in B[M] are all unchanged by g -> -g;
+    - ``dense_exact_quotient`` refuses g before dividing when g(1) does
+      not divide f(1) or g(-1) does not divide f(-1): g*h = f gives
+      g(x)*h(x) = f(x).
     """
     ring = f.ring
     if not ring.is_domain():
@@ -327,7 +339,7 @@ def is_irreducible_by_search(
             return is_prime(abs(dense[0]))
         if gcd(*dense) > 1:
             return False
-        leads = [s * d for d in divisors(abs(dense[-1])) for s in (1, -1)]
+        leads = divisors(abs(dense[-1]))
         box = range(-coeff_bound, coeff_bound + 1)
         # over a domain the lowest coefficients multiply, so a nonzero
         # constant term of the divisor must divide the lowest coefficient of f

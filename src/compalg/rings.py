@@ -134,11 +134,18 @@ def dense_ext_gcd(ring: "Ring", a, b) -> tuple[list, list]:
 
 
 def dense_exact_quotient(ring: "Ring", a, b) -> Optional[list]:
-    """q with b*q = a, or None. Over Z the long division stops at the first
-    step that does not divide; elsewhere b's leading coefficient must be a unit."""
+    """q with b*q = a, or None. Elsewhere than over Z, b's leading
+    coefficient must be a unit. Over Z, b*q = a gives b(x)*q(x) = a(x) at
+    x = 1 and x = -1, so b's value must divide a's there (a zero value of
+    b only a zero value of a) before the long division starts, and that
+    division stops at the first step that does not divide."""
     if not isinstance(ring, Integers):
         q, r = dense_divmod(ring, a, b)
         return None if r else q
+    a_even, a_odd, b_even, b_odd = sum(a[::2]), sum(a[1::2]), sum(b[::2]), sum(b[1::2])
+    for av, bv in ((a_even + a_odd, b_even + b_odd), (a_even - a_odd, b_even - b_odd)):
+        if (av % bv if bv else av) != 0:
+            return None
     rem, lead, n = list(a), b[-1], len(b) - 1
     q = [0] * (len(rem) - n)
     for shift in range(len(q) - 1, -1, -1):

@@ -9,9 +9,9 @@ from math import gcd
 
 import pytest
 
-from compalg import FormatError, ParameterError, ideal
+from compalg import CeilingError, FormatError, ParameterError, errors, ideal
 from compalg.arith import is_prime, is_primitive_root
-from compalg.ciphers import composite_cipher
+from compalg.ciphers import composite_cipher, monoid_cipher
 from compalg.ciphers import (
     AffineCipher,
     CipherPolynomial,
@@ -416,6 +416,34 @@ def test_keygen_block_and_arity_bookkeeping():
         assert composite_cipher_decrypt(ct, fg) == msg
 
 
+def test_each_cipher_records_its_arity_when_built():
+    for key in _random_oracle_keys(random.Random(33)):
+        assert [c.arity for c in key.coeffs] == [tree_arity(c) for c in key.coeffs]
+
+
+@pytest.mark.parametrize("degree,letters", [(12, 24572), (14, 98300), (16, 393212)])
+def test_a_key_block_over_the_work_budget_is_refused_before_lowering(
+    monkeypatch, degree, letters
+):
+    """Two degree-d affine keys convolve to 2 * (2 + 4 + ... + 2^d) + 2^(d+1)
+    letters per block: 12 fits the budget, 14 and 16 do not."""
+    rng = random.Random(degree)
+    f, g = (random_affine_polynomial(26, degree, rng) for _ in range(2))
+    fg = composite_cipher_keygen(f, g)
+    msg = [rng.randrange(26) for _ in range(3)]
+    if letters <= errors.WORK_BUDGET:
+        cipher = composite_cipher_encrypt(msg, fg)
+        assert len(cipher.values) == letters
+        assert composite_cipher_decrypt(cipher, fg) == msg
+        return
+    monkeypatch.setattr(composite_cipher, "_normal_form", None)  # lowering would fail
+    refused = rf"lowering the key's letter ciphers needs at least {letters} steps"
+    with pytest.raises(CeilingError, match=refused):
+        composite_cipher_encrypt(msg, fg)
+    with pytest.raises(CeilingError, match=refused):
+        composite_cipher_decrypt(CipherText((0,) * letters, 1), fg)
+
+
 def test_composite_decrypt_rejects_out_of_range_ciphertext():
     rng = random.Random(29)
     key = composite_cipher_keygen(
@@ -641,6 +669,14 @@ def test_bsgs_round_trips_at_the_benchmark_primes():
             target = cipher[i] * pow(a, -1, p) % p
             assert discrete_log_exhaustive(key.base, target, p) == msgs[i]
 
+
+
+def test_a_plan_over_the_work_budget_is_refused_before_its_tables(monkeypatch):
+    # 17179869263 - 1 = 2 * 8589934631: tables of 2 and isqrt(8589934630) + 1 entries
+    monkeypatch.setattr(monoid_cipher, "_baby_steps", None)  # building one would fail
+    with pytest.raises(CeilingError, match="plan for logs to 5 mod 17179869263 needs at "
+                                           "least 92684 steps"):
+        discrete_log_bsgs(5, 7, 17179869263)
 
 def test_bsgs_base_divisible_by_p_matches_exhaustive():
     # 0^0 = 1 is the only power of a base 0 mod p a unit target can reach

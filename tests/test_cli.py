@@ -572,16 +572,23 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, c
         (["monoid", "oracle", "Z:M<2,3>:{2:1,3:1000000000000000000000000}", "--exp-bound", "6",
           "--coeff-bound", "1"], 1000000000000),
         (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
-          "--coeff-bound", "40"], 3228504),
+          "--coeff-bound", "40"], 1614252),
         # 2c + 1 box values at c = 10^20 - 1: len() of that range overflows
         (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
-          "--coeff-bound", "99999999999999999999"], 1200000000000000000000),
+          "--coeff-bound", "99999999999999999999"], 600000000000000000000),
         (["poly", "irreducible", "F3486784401:[1,0,1]"], 88572),
         (["poly", "irreducible", "F(2199023255552)=F2[t]/(t^41+t^3+1):[0,1]"], 131070),
         (["monoid", "contains", "M<30000000,30000001,30000002>", "5000000000"], 30000000),
+        # p = 2q + 1 > 2^40: baby-step tables of isqrt(q - 1) + 1 and 2 entries
+        (["monoidcipher", "decrypt", "--p", "1099511628443", "--x", "2", "--a", "1",
+          "--values", "7"], 741458),
+        # two degree-16 keys: 2 * (2 + 4 + ... + 2^16) + 2^17 letters per block
+        (["compcipher", "encrypt", "--f", "poly[" + ",".join(["aff(3,1,26)"] * 17) + "]",
+          "--g", "poly[" + ",".join(["aff(5,2,26)"] * 17) + "]", "--values", "1"], 393212),
     ],
     ids=["inverse-mod-prime", "inverse-f65536", "monoid-dense-form", "monoid-divisors",
-         "monoid-box", "monoid-huge-box", "huge-default-field", "huge-explicit-field", "apery-table"],
+         "monoid-box", "monoid-huge-box", "huge-default-field", "huge-explicit-field", "apery-table",
+         "dlog-plan", "compcipher-block"],
 )
 def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
     env = dict(os.environ)

@@ -5,13 +5,16 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compalg import monoid_domain
+from compalg import arith, monoid_domain, rings
+from compalg.rings import dense_exact_quotient, dense_mul
 from compalg import (
     CeilingError,
     Integers,
@@ -352,3 +355,137 @@ def test_constructed_irreducibles_verify_in_both_monoids():
     ]:
         cert = build_irreducible(Z, monoid, primes, exponents)
         assert is_irreducible_by_search(cert.element, 12, 6), cert
+
+
+# --- the Z search's skipped candidates ----------------------------------------
+
+
+def long_quotient(a, b):
+    """Plain long division over Z: q with b*q = a, or None."""
+    rem, n = list(a), len(b) - 1
+    q = [0] * max(0, len(a) - n)
+    for shift in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[shift + n], b[-1])
+        if r:
+            return None
+        q[shift] = c
+        for i, bi in enumerate(b):
+            rem[shift + i] -= c * bi
+    return None if any(rem) else q
+
+
+# the factors that make b(1) = 0 or b(-1) = 0: X - 1, X + 1, X^2 - 1
+VANISHING = [[], [-1, 1], [1, 1], [-1, 0, 1]]
+short_lists = st.lists(st.integers(-9, 9), max_size=4)
+nonzero = st.integers(-4, 4).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(short_lists, nonzero, st.sampled_from(VANISHING), short_lists, nonzero, short_lists,
+       st.booleans())
+def test_exact_quotient_over_z_matches_plain_long_division(
+    b_low, b_lead, factor, q_low, q_lead, noise, exact
+):
+    b = dense_mul(Z, b_low + [b_lead], factor or [1])
+    a = dense_mul(Z, b, q_low + [q_lead])
+    if not exact:
+        a = [x + y for x, y in zip(a, noise + [0] * len(a))]
+    while a and a[-1] == 0:
+        a.pop()
+    if a:
+        assert dense_exact_quotient(Z, a, tuple(b)) == long_quotient(a, b)
+
+
+class Lead(int):
+    """An integer leading coefficient that counts the division steps by it."""
+
+    steps = 0
+
+    def __rmod__(self, other):
+        Lead.steps += 1
+        return int.__rmod__(self, other)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([3, 1], [-1, Lead(1)]),  # b = X - 1: b(1) = 0, a(1) = 4
+        ([3, 1], [1, Lead(1)]),  # b = X + 1: b(-1) = 0, a(-1) = 2
+        ([2, 0, 0, 1], [1, -1, Lead(1)]),  # b(-1) = 3 does not divide a(-1) = 1
+        ([1, 0, 1], [2, Lead(1)]),  # b(1) = 3 does not divide a(1) = 2
+    ],
+    ids=["zero-at-1", "zero-at-minus-1", "minus-1", "plus-1"],
+)
+def test_a_divisor_whose_values_at_1_and_minus_1_do_not_divide_is_never_divided(a, b):
+    Lead.steps = 0
+    assert dense_exact_quotient(Z, a, tuple(b)) is None
+    assert Lead.steps == 0
+    # the same values pass once a is a multiple of b, and the division runs
+    assert dense_exact_quotient(Z, dense_mul(Z, b, a), tuple(b)) == a
+    assert Lead.steps > 0
+
+
+def unpruned_search(f, c):
+    """The Z box search with no skipped candidate: both signs of each
+    leading divisor, the whole box at every member exponent, and every
+    candidate divided out in full."""
+    monoid, dense = f.monoid, [0] * (f.max_exponent() + 1)
+    for e, v in f._values:
+        dense[e] = v
+    deg = len(dense) - 1
+    if deg == 0:
+        return arith.is_prime(abs(dense[0]))
+    if gcd(*dense) > 1:
+        return False
+    box = range(-c, c + 1)
+    leads = [s * d for d in arith.divisors(abs(dense[-1])) for s in (1, -1)]
+    pool_lists = (
+        [box if monoid.contains(e) else (0,) for e in range(dg)] + [leads]
+        for dg in range(1, deg)
+        if monoid.contains(dg) and monoid.contains(deg - dg)
+    )
+    accept = lambda q: all(x == 0 or monoid.contains(e) for e, x in enumerate(q))
+    return rings.dense_find_divisor(Z, dense, pool_lists, accept) is None
+
+
+def random_element(rng, monoid, top):
+    members = monoid.members_upto(top)
+    terms = [(rng.choice(members), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3)]
+    return MonoidElement(Z, monoid, terms)
+
+
+def test_the_z_search_gives_the_unpruned_verdict(monkeypatch):
+    """Listing one sign per leading divisor and the value test at 1 and -1
+    skip candidates, never a verdict, wherever the unpruned search fits
+    the work budget."""
+    rng = random.Random(22)
+    verdicts = []
+    for monoid, top in [(M23, 8), (M35, 11), (NumericalMonoid([4, 5, 7]), 14)]:
+        for _ in range(150):
+            f = random_element(rng, monoid, top)
+            if rng.random() < 0.5:
+                f = random_element(rng, monoid, top // 2) * random_element(rng, monoid, top // 2)
+            if f.is_zero() or f.is_unit():
+                continue
+            c = rng.randint(1, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(rings, "dense_exact_quotient", lambda ring, a, b: long_quotient(a, b))
+                try:
+                    expected = unpruned_search(f, c)
+                except CeilingError:
+                    continue
+            assert is_irreducible_by_search(f, f.max_exponent(), c) == expected, (f, c)
+            verdicts.append(expected)
+    assert len(verdicts) >= 300 and verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_the_z_search_lists_only_positive_leading_divisors(monkeypatch):
+    f = MonoidElement(Z, M23, {0: 1, 3: 5, 7: 12})
+    leads = Counter()
+
+    def recording(ring, a, b):
+        leads[b[-1]] += 1
+
+    monkeypatch.setattr(rings, "dense_exact_quotient", recording)
+    assert is_irreducible_by_search(f, 7, 1)
+    assert sorted(leads) == [1, 2, 3, 4, 6, 12] and len(set(leads.values())) == 1

@@ -27,7 +27,7 @@ CASES = {
     # divisor degrees 1, 2, 3 with levels F2, F2, F4: 2*1 + 2*2*3 + 2*2*4*3
     "depth-2 composite": (lambda: has_nontrivial_factorization(DEEP), False, 62),
     "monoid over F3": (lambda: is_irreducible_by_search(OVER_F3, 8), True, 726),
-    "monoid over Z": (lambda: is_irreducible_by_search(OVER_Z, 7, 2), True, 936),
+    "monoid over Z": (lambda: is_irreducible_by_search(OVER_Z, 7, 2), True, 468),
 }
 
 
