@@ -16,9 +16,6 @@ from typing import Iterable, Sequence
 from .arith import is_prime
 from .errors import ParameterError
 
-#: default ceiling on encoded values: cycle * 2**16
-DEFAULT_CEILING_FACTOR = 1 << 16
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Alphabet:
@@ -73,9 +70,8 @@ def encode(
     lifts: Sequence[int] | None = None,
     ceiling: int | None = None,
 ) -> list[int]:
-    """Values index + cycle * lift, one lift per letter (default all 0), each <= ceiling."""
-    if ceiling is None:
-        ceiling = alphabet.cycle * DEFAULT_CEILING_FACTOR
+    """Values index + cycle * lift, one lift per letter (default all 0). A value
+    above ``ceiling`` is refused; ``ceiling=None`` sets no ceiling."""
     if lifts is None:
         lifts = [0] * len(text)
     elif len(lifts) != len(text):
@@ -85,7 +81,7 @@ def encode(
         if k < 0:
             raise ParameterError(f"lift {k} at position {pos} is negative")
         value = alphabet.index(ch) + alphabet.cycle * k
-        if value > ceiling:
+        if ceiling is not None and value > ceiling:
             raise ParameterError(
                 f"encoded value {value} exceeds ceiling {ceiling} at position {pos}"
             )

@@ -8,7 +8,7 @@ reproducible rather than probabilistic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import prod
 
 from . import errors
 from .errors import CeilingError, ParameterError, check_work
@@ -76,17 +76,15 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    check_work(isqrt(n), "listing divisors by trial division")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending: the products of the prime
+    powers ``factorize`` finds, counted against the work budget before listing."""
+    fac = factorize(n)
+    check_work(prod(e + 1 for e in fac.values()), f"listing the divisors of {n}")
+    out = [1]
+    for p, e in fac.items():
+        out += [d * p**k for k in range(1, e + 1) for d in out]
+    out.sort()
+    return out
 
 
 def is_primitive_root(g: int, p: int) -> bool:

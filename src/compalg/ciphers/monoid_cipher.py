@@ -7,6 +7,7 @@ Decryption runs Pohlig–Hellman, baby-step giant-step in each prime-order
 subgroup: one plan per (base, p) holds the base's order, its prime-power
 factors and a baby-step table per prime, so a letter pays only modular
 powers and walks of about sqrt(q) steps for each prime q dividing p-1.
+A key whose plan is over the work budget is refused when it is made.
 An exhaustive log is kept alongside as the verification oracle.
 """
 
@@ -19,7 +20,7 @@ from math import isqrt
 from typing import Iterable
 
 from . import check_domain
-from ..arith import factorize, generates_units, is_prime
+from ..arith import factorize, generates_units, is_prime, prime_factors
 from ..errors import FormatError, ParameterError, check_work
 from ..textio import key_record_text, parse_key_record
 
@@ -36,9 +37,15 @@ def _baby_steps(base: int, order: int, p: int) -> tuple[dict[int, int], int, int
     return baby, m, pow(cur, -1, p)
 
 
-# A plan holds isqrt(q-1)+1 table entries per prime q of the base's order,
-# counted against the work budget before the first table is built; the
-# cache bound keeps a long-lived process from holding one per key it ever saw.
+def _check_plan_work(base: int, p: int, primes: Iterable[int]) -> None:
+    """Refuse a plan over the work budget: it holds isqrt(q-1)+1 table
+    entries per prime q of the base's order."""
+    check_work(sum(isqrt(q - 1) + 1 for q in primes),
+               f"the Pohlig-Hellman plan for logs to {base} mod {p}")
+
+
+# A plan is counted against the work budget before the first table is built;
+# the cache bound keeps a long-lived process from holding one per key it ever saw.
 @lru_cache(maxsize=16)
 def _plan(base: int, p: int) -> tuple[int, tuple[tuple, ...]]:
     """Pohlig–Hellman plan for logs to base (reduced mod p) modulo a prime p.
@@ -59,8 +66,7 @@ def _plan(base: int, p: int) -> tuple[int, tuple[tuple, ...]]:
         while exponents[q] and pow(base, n // q, p) == 1:
             n //= q
             exponents[q] -= 1
-    check_work(sum(isqrt(q - 1) + 1 for q, e in exponents.items() if e),
-               f"the Pohlig-Hellman plan for logs to {base} mod {p}")
+    _check_plan_work(base, p, [q for q, e in exponents.items() if e])
     parts = []
     for q, e in exponents.items():
         if e:
@@ -148,6 +154,8 @@ class MonoidCipherKey:
             raise ParameterError(f"base {self.base} must lie in [2, {p - 1}]")
         if not generates_units(self.base, p):
             raise ParameterError(f"base {self.base} is not a primitive root mod {p}")
+        # the base has order p - 1, so its plan has a table for every prime of p - 1
+        _check_plan_work(self.base, p, prime_factors(p - 1))
         if not self.coefficients:
             raise ParameterError("need at least one coefficient")
         if any(not 1 <= a <= p - 1 for a in self.coefficients):
@@ -168,6 +176,7 @@ def monoid_keygen(p: int, rng: random.Random, num_coefficients: int = 8) -> Mono
         raise ParameterError(f"alphabet size {p} must be prime")
     if p < 5:
         raise ParameterError("alphabet size must be at least 5")
+    check_work(num_coefficients, "drawing monoid-cipher coefficients")
     while True:
         x = rng.randrange(2, p)
         if generates_units(x, p):

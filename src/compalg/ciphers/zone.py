@@ -6,7 +6,8 @@ becomes a (zone, digit) pair: the zone index t = ceil(v/q) - 1 travels
 in clear by default, the residue r = v - t*q in [1, q] is multiplied by
 the key modulo q (with residue 0 written as q so digits stay in [1, q]).
 A zone_seed in the key optionally masks the zone labels with a seeded
-permutation shared by both sides.
+permutation shared by both sides; a seeded key counts its zones against
+the work budget, an unseeded one keeps no table.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, gcd
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
 from . import check_domain
 from ..arith import is_prime
-from ..errors import FormatError, ParameterError
+from ..errors import FormatError, ParameterError, check_work
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class ZoneKey:
             raise ParameterError(
                 f"key k = {self.k} must be positive and coprime to q = {self.sub_size}"
             )
+        if self.zone_seed is not None:
+            check_work(self.zone_count, "shuffling the zone labels")
 
     @property
     def messages(self) -> range:
@@ -57,19 +60,24 @@ class ZoneKey:
 
     @property
     def zone_count(self) -> int:
-        return ceil(self.alphabet_size / self.sub_size)
+        return -(-self.alphabet_size // self.sub_size)
 
     @cached_property
-    def _labels(self) -> tuple[int, ...]:
-        """Transmitted label of each zone index, shuffled once per key."""
+    def _labels(self) -> Sequence[int]:
+        """Transmitted label of each zone index: the index itself, or a
+        permutation shuffled once per seeded key."""
+        if self.zone_seed is None:
+            return range(self.zone_count)
         labels = list(range(self.zone_count))
-        if self.zone_seed is not None:
-            random.Random(self.zone_seed).shuffle(labels)
+        random.Random(self.zone_seed).shuffle(labels)
         return tuple(labels)
 
     @cached_property
-    def _zone_of_label(self) -> dict[int, int]:
-        """Inverse of ``_labels``: zone index of each transmitted label."""
+    def _zone_of_label(self) -> Sequence[int] | dict[int, int]:
+        """Inverse of ``_labels``: zone index of each transmitted label. The
+        unpermuted range maps each of its labels to itself."""
+        if self.zone_seed is None:
+            return self._labels
         return {z: t for t, z in enumerate(self._labels)}
 
 

@@ -4,7 +4,10 @@ Each class carries a short machine-readable ``code`` so the CLI can emit
 ``ERR:<code>: message`` lines without string matching.
 """
 
-#: the most steps (candidate divisors tried, values listed) one search or listing may take
+#: the most steps (candidate divisors tried, values listed, trial divisors,
+#: table entries) one search or listing may take; besides it, the only limits
+#: are the bounds a caller passes (degree_bound, exponent_bound, coeff_bound,
+#: max_steps, ceiling)
 WORK_BUDGET = 1 << 16
 
 

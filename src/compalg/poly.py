@@ -5,9 +5,10 @@ rings.py does its arithmetic and the ring's value hooks answer its
 predicates; ``coeffs`` and ``coeff`` wrap values as RingElements on
 demand. Provides the classical unit and nilpotency criteria (constant
 term a unit plus nilpotent higher coefficients), plus brute-force
-irreducibility, factorization and inverse search at desk scale. Factor
-order is canonical: ascending degree, then ascending little-endian
-coefficient order, so outputs are reproducible.
+irreducibility, factorization and inverse search, each counted against
+``errors.WORK_BUDGET`` before it starts. Factor order is canonical:
+ascending degree, then ascending little-endian coefficient order, so
+outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import CeilingError, ParameterError, RingMismatchError, check_work
+from .errors import ParameterError, RingMismatchError, check_work
 from .rings import (
     Ring,
     RingElement,
@@ -28,9 +29,6 @@ from .rings import (
     dense_neg,
     dense_trim,
 )
-
-#: cap on search_inverse's degree bound: the search recurses once per coefficient
-INVERSE_SEARCH_MAX_BOUND = 8
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -250,48 +248,35 @@ def irreducible_monic_polynomials(ring: Ring, degree: int) -> tuple[Polynomial, 
 
 
 def search_inverse(f: Polynomial, degree_bound: int) -> Optional[Polynomial]:
-    """Exhaustive search for g with f*g == 1 and deg g <= degree_bound.
+    """Search for g with f*g == 1 and deg g <= degree_bound.
 
-    Candidates are enumerated coefficient by coefficient; a prefix is kept
-    only while it satisfies the convolution equations (f*g)_m = [m == 0],
-    which every genuine inverse must satisfy, so no solution is skipped.
-    Surviving candidates are verified by a full product check. Independent
-    of the unit criterion in Polynomial.is_unit.
+    Every inverse satisfies the convolution equations (f*g)_m = [m == 0],
+    i.e. f0*g_m = [m == 0] - sum f_i*g_(m-i) over 1 <= i <= deg f. Some
+    value solves f0*e = 1 only when f0 is a unit, and then every equation
+    has exactly one solution, so the search walks a single path, taking
+    the first ring value that solves each equation. A full product check
+    verifies the result. f0 is never inverted, so the oracle stays
+    independent of the unit criterion in Polynomial.is_unit.
     """
     ring = f.ring
     if ring.size() is None:
         raise ParameterError(f"inverse search requires a finite ring, not {ring.name()}")
     if degree_bound < 0:
         raise ParameterError(f"degree_bound must be >= 0, got {degree_bound}")
-    if degree_bound > INVERSE_SEARCH_MAX_BOUND:
-        raise CeilingError(
-            f"degree_bound {degree_bound} exceeds ceiling {INVERSE_SEARCH_MAX_BOUND}"
-        )
     check_work((degree_bound + 1) * ring.size(), "inverse search")
     if f.is_zero():
         return None
-    one = ring.one()
-    zero = ring.zero()
-    elems = list(ring.elements())
-    f0 = f.coeff(0)
-
-    def extend(prefix: list[RingElement]) -> Optional[Polynomial]:
-        m = len(prefix)
-        if m == degree_bound + 1:
-            g = Polynomial(ring, prefix)
-            if (f * g) == Polynomial(ring, [one]):
-                return g
+    add, mul, fv = ring.add_values, ring.mul_values, f._values
+    elems = list(ring.element_values())
+    g = []
+    for m in range(degree_bound + 1):
+        acc = ring.zero_value
+        for i in range(1, min(m, len(fv) - 1) + 1):
+            acc = add(acc, mul(fv[i], g[m - i]))
+        need = ring.neg_value(acc) if m else ring.one_value
+        e = next((e for e in elems if mul(fv[0], e) == need), None)
+        if e is None:
             return None
-        target = one if m == 0 else zero
-        acc = zero
-        for j in range(m):
-            acc = acc + f.coeff(m - j) * prefix[j]
-        need = target - acc
-        for e in elems:
-            if f0 * e == need:
-                found = extend(prefix + [e])
-                if found is not None:
-                    return found
-        return None
-
-    return extend([])
+        g.append(e)
+    inverse = Polynomial(ring, g)
+    return inverse if f * inverse == Polynomial(ring, [ring.one_value]) else None

@@ -67,7 +67,7 @@ def parse_ring(text: str) -> Ring:
             q = int(text[1:])
         except ValueError:
             raise FormatError(f"unrecognized ring name {text!r}") from None
-        fac = factorize(q)
+        fac = factorize(q) if q > 0 else {}
         if len(fac) != 1:
             raise FormatError(f"F{q}: {q} is not a prime power")
         (p, k), = fac.items()

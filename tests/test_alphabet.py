@@ -53,8 +53,13 @@ def test_unknown_character():
 
 
 def test_ceiling_enforced():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="encoded value 260 exceeds ceiling 100"):
         encode("A", AZ, [10], ceiling=100)
+    assert encode("A", AZ, [10], ceiling=260) == [260]
+
+
+def test_no_ceiling_by_default():
+    assert encode("A", AZ, [70000]) == [1820000]
 
 
 def test_prime_length_flag():

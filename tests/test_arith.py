@@ -1,13 +1,15 @@
 """Primality against trial division, across the small-n shortcut; factoring
-bounded by the work budget; and the smallest primitive root against the
-multiplicative orders."""
+bounded by the work budget; divisors against trial division; and the
+smallest primitive root against the multiplicative orders."""
 
-from math import prod
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compalg import CeilingError, ParameterError, arith
-from compalg.arith import factorize, is_prime, smallest_primitive_root
+from compalg.arith import divisors, factorize, is_prime, smallest_primitive_root
 
 
 def _is_prime_by_trial_division(n):
@@ -41,6 +43,29 @@ def test_factorize_divides_up_to_the_budget_then_checks_the_cofactor():
         with pytest.raises(CeilingError, match=f"^factoring {n} needs trial divisors above "
                                                "the work budget 65536$"):
             factorize(n)
+
+
+def _divisors_by_trial_division(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**6))
+def test_divisors_match_trial_division(n):
+    assert divisors(n) == _divisors_by_trial_division(n)
+
+
+def test_divisors_are_refused_only_by_factoring_or_their_count():
+    assert divisors(2**61 - 1) == [1, 2**61 - 1]
+    assert len(divisors(10**24)) == 625  # (24 + 1)^2 prime-power products
+    with pytest.raises(CeilingError, match="^factoring 4295229443 needs trial divisors above "
+                                           "the work budget 65536$"):
+        divisors(65537 * 65539)
+    primorial = prod(p for p in range(60) if is_prime(p))  # 17 primes, 2^17 divisors
+    with pytest.raises(CeilingError, match=f"^listing the divisors of {primorial} needs at "
+                                           "least 131072 steps, above the work budget 65536$"):
+        divisors(primorial)
 
 
 def _order(g, p):

@@ -265,6 +265,25 @@ def test_zone_seeded_key_rejects_labels_outside_range():
             zone_decrypt([(label, 1)], key)
 
 
+def test_zone_round_trips_the_last_letters_of_a_huge_alphabet():
+    p = 2**61 - 1
+    key = ZoneKey(p, 3, 2)
+    assert key.zone_count == 768614336404564651  # ceil(p / 3) in integers, not floats
+    values = [p - 2, p - 1, p]  # p = 1 mod 3: the last zone holds p alone
+    pairs = zone_encrypt(values, key)
+    assert [z for z, _ in pairs] == [768614336404564649, 768614336404564649,
+                                     768614336404564650]
+    assert zone_decrypt(pairs, key) == values
+
+
+def test_a_seeded_zone_key_counts_its_labels_against_the_work_budget(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1430)
+    assert ZoneKey(10007, 7, 3, zone_seed=5).zone_count == 1430
+    ZoneKey(10037, 7, 3)  # 1434 zones, unseeded: no table
+    with pytest.raises(CeilingError, match="^shuffling the zone labels needs at least 1434 steps"):
+        ZoneKey(10037, 7, 3, zone_seed=5)
+
+
 def test_zone_key_shuffles_once(monkeypatch):
     shuffles = []
     shuffle = random.Random.shuffle
@@ -672,6 +691,25 @@ def test_a_plan_over_the_work_budget_is_refused_before_its_tables(monkeypatch):
     with pytest.raises(CeilingError, match="plan for logs to 5 mod 17179869263 needs at "
                                            "least 92684 steps"):
         discrete_log_bsgs(5, 7, 17179869263)
+
+
+def test_a_key_whose_plan_is_over_the_work_budget_is_refused_when_made(monkeypatch):
+    monkeypatch.setattr(monoid_cipher, "_baby_steps", None)  # building a table would fail
+    with pytest.raises(CeilingError, match="^the Pohlig-Hellman plan for logs to 5 mod "
+                                           "17179869263 needs at least 92684 steps"):
+        MonoidCipherKey(17179869263, 5, (1,))
+    with pytest.raises(CeilingError, match="plan for logs to 258793550910 mod 1099511628443 "
+                                           "needs at least 741458 steps"):
+        monoid_keygen(1099511628443, random.Random(1), 3)
+
+
+def test_monoid_keygen_counts_its_coefficients_before_drawing_any():
+    assert len(monoid_keygen(29, random.Random(1), 65536).coefficients) == 65536
+    rng = random.Random(1)
+    with pytest.raises(CeilingError, match="^drawing monoid-cipher coefficients needs at least "
+                                           "65537 steps"):
+        monoid_keygen(29, rng, 65537)
+    assert rng.getstate() == random.Random(1).getstate()
 
 
 def test_bsgs_base_divisible_by_p_matches_exhaustive():

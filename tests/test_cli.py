@@ -67,6 +67,15 @@ def test_help_examples_are_golden(group):
 ROOT = Path(__file__).resolve().parents[1]
 DH_TRANSCRIPT = str(ROOT / "tests" / "golden" / "exchange_dh.txt")  # `exchange run` help example
 
+
+def run_child(argv, memory=None, timeout=10):
+    """The CLI in a child process, its address space capped at ``memory`` bytes if given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cap = memory and (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
+    return subprocess.run([sys.executable, "-m", "compalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+
 # verbs that neither a help example nor the benchmark's golden cases run
 KNOWN_ANSWERS = [
     (["poly", "check", "Z/4:[2,2]"], "unit=false nilpotent=true\n"),
@@ -195,6 +204,12 @@ def test_format_error_code():
     code, _, err = run_cli(["poly", "irreducible", "F6:[1,1]"])
     assert code == 1
     assert err.startswith("ERR:format: ")
+
+
+@pytest.mark.parametrize("size", ["0", "-3", "1", "6"])
+def test_a_field_size_that_is_not_a_prime_power_is_a_format_error(size):
+    assert run_cli(["ring", "check", f"F{size}:0"]) == (
+        1, "", f"ERR:format: F{size}: {size} is not a prime power\n")
 
 
 def test_usage_error_exit_code():
@@ -497,23 +512,17 @@ def test_replay_refusals(tmp_path, edit, prefix, reason):
     assert reason in err
 
 
-def test_inverse_search_above_its_ceiling_is_a_ceiling_error():
-    code, out, err = run_cli(["poly", "oracle", "Z/4:[1,2]", "--bound", "9"])
-    _assert_clean_error(code, out, err, "ERR:ceiling: ")
+def test_inverse_search_bound_is_limited_only_by_the_work_budget():
+    assert run_cli(["poly", "oracle", "Z/4:[1,2]", "--bound", "9"]) == (0, "[1,2]\n", "")
+    assert run_cli(["poly", "oracle", "Z/4:[1,2]", "--bound", "16384"]) == (
+        1, "", "ERR:ceiling: inverse search needs at least 65540 steps, above the work budget "
+               "65536\n")
 
 
 def test_field_element_with_a_huge_exponent():
     """t has order 3 in F4 and 10^9 = 1 mod 3; no list as long as the exponent."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-m", "compalg.cli", "ring", "check", element],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
-        for element in ("F4:t^1000000000", "F4:t")
-    ]
+    outputs = [run_child(["ring", "check", element], timeout=30)
+               for element in ("F4:t^1000000000", "F4:t")]
     assert [(done.returncode, done.stdout) for done in outputs] == [
         (0, "unit=true nilpotent=false inverse=1+t\n")
     ] * 2, outputs[0].stderr
@@ -528,13 +537,7 @@ def test_field_element_with_a_huge_exponent():
 )
 def test_degree_one_over_a_large_prime_field_is_irreducible_at_once(argv):
     """Degree 1 has no candidate divisor, so the field's 10^9 values are never listed."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    done = run_child(argv)
     assert (done.returncode, done.stdout) == (0, "true\n"), done.stderr
 
 
@@ -549,15 +552,8 @@ def test_degree_one_over_a_large_prime_field_is_irreducible_at_once(argv):
     ],
 )
 def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, code):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    gib = 1 << 30  # a regression that densifies the modulus fails fast here
-    done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", "ring", "check", element],
-        env=env, capture_output=True, text=True, timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
-    )
+    # a regression that densifies the modulus fails fast under the cap
+    done = run_child(["ring", "check", element], memory=1 << 30)
     assert done.returncode == 1
     assert done.stderr.startswith(f"ERR:{code}: ") and "Traceback" not in done.stderr
 
@@ -569,8 +565,6 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, c
         (["poly", "oracle", "F65536:[1,1]", "--bound", "8"], 589824),
         (["monoid", "oracle", "Z:M<2,3>:{100000000:1,0:3}", "--exp-bound", "100000000",
           "--coeff-bound", "1"], 100000001),
-        (["monoid", "oracle", "Z:M<2,3>:{2:1,3:1000000000000000000000000}", "--exp-bound", "6",
-          "--coeff-bound", "1"], 1000000000000),
         (["monoid", "oracle", "Z:M<2,3>:{2:-1,3:2,8:1}", "--exp-bound", "8",
           "--coeff-bound", "40"], 1614252),
         # 2c + 1 box values at c = 10^20 - 1: len() of that range overflows
@@ -582,30 +576,64 @@ def test_bad_explicit_field_name_is_refused_before_the_field_is_built(element, c
         # p = 2q + 1 > 2^40: baby-step tables of isqrt(q - 1) + 1 and 2 entries
         (["monoidcipher", "decrypt", "--p", "1099511628443", "--x", "2", "--a", "1",
           "--values", "7"], 741458),
+        # a key is refused when it is made, so keygen and encrypt are too
+        (["monoidcipher", "encrypt", "--p", "1099511628443", "--x", "2", "--a", "1",
+          "--values", "7"], 741458),
+        (["monoidcipher", "keygen", "--p", "1099511628443", "--seed", "1", "--coeffs", "3"],
+         741458),
+        # p = 2q + 1 > 2^34: tables of 2 and isqrt(q - 1) + 1 entries
+        (["monoidcipher", "encrypt", "--p", "17179869263", "--x", "5", "--a", "1",
+          "--values", "7"], 92684),
+        (["monoidcipher", "keygen", "--p", "17179869263", "--seed", "1", "--coeffs", "3"], 92684),
+        (["monoidcipher", "keygen", "--p", "29", "--seed", "1", "--coeffs", "20000000"],
+         20000000),
+        (["zone", "encrypt", "--p", "1000000007", "--q", "5", "--k", "3", "--values", "1",
+          "--zone-seed", "1"], 200000002),
         # two degree-16 keys: 2 * (2 + 4 + ... + 2^16) + 2^17 letters per block
         (["compcipher", "encrypt", "--f", "poly[" + ",".join(["aff(3,1,26)"] * 17) + "]",
           "--g", "poly[" + ",".join(["aff(5,2,26)"] * 17) + "]", "--values", "1"], 393212),
     ],
-    ids=["inverse-mod-prime", "inverse-f65536", "monoid-dense-form", "monoid-divisors",
-         "monoid-box", "monoid-huge-box", "huge-default-field", "huge-explicit-field", "apery-table",
-         "dlog-plan", "compcipher-block"],
+    ids=["inverse-mod-prime", "inverse-f65536", "monoid-dense-form", "monoid-box",
+         "monoid-huge-box", "huge-default-field", "huge-explicit-field", "apery-table",
+         "dlog-plan", "dlog-plan-encrypt", "dlog-plan-keygen", "dlog-plan-2-34-encrypt",
+         "dlog-plan-2-34-keygen", "monoidcipher-coeffs", "zone-seeded-labels", "compcipher-block"],
 )
 def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    limit = 600 << 20
-    done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    done = run_child(argv, memory=600 << 20)
     assert (done.returncode, done.stdout) == (1, "")
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert re.fullmatch(
         rf"ERR:ceiling: .+ needs at least {steps} steps, above the work budget 65536", line
     ), line
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # 10^24 has 625 divisors; M<2,3> has no split degree for degree 3
+        (["monoid", "oracle", "Z:M<2,3>:{2:1,3:1000000000000000000000000}", "--exp-bound", "6",
+          "--coeff-bound", "1"], "true\n"),
+        (["zone", "encrypt", "--p", "1000000007", "--q", "5", "--k", "3", "--values", "1"],
+         "0:3\n"),
+        (["monoidcipher", "keygen", "--p", "29", "--seed", "1", "--coeffs", "65536"],
+         "monoid-cipher v1 P=29 X=27 A=25,3,9,4,16,"),
+    ],
+    ids=["monoid-divisors", "zone-unseeded-labels", "monoidcipher-coeffs"],
+)
+def test_work_within_the_budget_is_answered(argv, expected):
+    done = run_child(argv, memory=600 << 20)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    [line] = done.stdout.splitlines()
+    assert done.stdout.startswith(expected), line[:80]
+
+
+def test_a_lead_that_cannot_be_factored_is_refused():
+    done = run_child(["monoid", "oracle", "Z:M<2,3>:{2:1,3:4295229443}", "--exp-bound", "6",
+                      "--coeff-bound", "1"], memory=600 << 20)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "ERR:ceiling: factoring 4295229443 needs trial divisors above the work budget "
+               "65536\n")
 
 
 @pytest.mark.parametrize(
@@ -619,13 +647,7 @@ def test_work_over_the_budget_is_refused_before_it_starts(argv, steps):
     ids=["prime-field", "z-mod-prime", "poly-mod-prime"],
 )
 def test_a_prime_near_2_to_the_61_is_answered_without_trial_division_to_its_root(argv, expected):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    done = run_child(argv)
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 

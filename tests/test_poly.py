@@ -132,9 +132,33 @@ def test_inverse_search_rejects_x():
     assert search_inverse(Polynomial(F3, [0, 1]), 4) is None
 
 
-def test_inverse_search_bound_ceiling():
-    with pytest.raises(CeilingError):
-        search_inverse(Polynomial(Z4, [1, 2]), 9)
+@pytest.mark.parametrize(
+    "ring,bound",
+    [(Z4, b) for b in range(4)] + [(Z6, b) for b in range(4)] + [(F4, b) for b in range(4)]
+    + [(IntegersMod(8), b) for b in range(3)] + [(IntegersMod(9), b) for b in range(3)],
+    ids=lambda x: x.name() if hasattr(x, "name") else str(x),
+)
+def test_inverse_search_matches_an_exhaustive_search(ring, bound):
+    # every g with deg g <= bound, grouped by constant term: f*g has constant
+    # term f0*g0, so only the groups with f0*g0 == 1 are multiplied out
+    by_constant = {}
+    for g in all_polynomials(ring, bound):
+        by_constant.setdefault(g.constant(), []).append(g)
+    one = Polynomial(ring, [1])
+    for f in all_polynomials(ring, 2):
+        inverses = [g for g0, group in by_constant.items() if f.constant() * g0 == ring.one()
+                    for g in group if f * g == one]
+        # inverses are unique, so the exhaustive list has at most one entry
+        assert [search_inverse(f, bound)] == (inverses or [None]), f
+
+
+def test_inverse_search_bound_is_limited_only_by_the_work_budget():
+    assert search_inverse(Polynomial(Z4, [1, 2]), 9) == Polynomial(Z4, [1, 2])
+    # 1 + X + X^2 over F2 has no inverse at any bound
+    assert search_inverse(Polynomial(F2, [1, 1, 1]), 32767) is None
+    with pytest.raises(CeilingError, match="^inverse search needs at least 65540 steps, above "
+                                           "the work budget 65536$"):
+        search_inverse(Polynomial(Z4, [1, 2]), 16384)
 
 
 def test_inverse_search_rejects_a_negative_bound():
