@@ -13,9 +13,10 @@ and verifies them with a brute-force factorization search. This module
 supplies the search's coefficient pools (a box over Z, the whole ring
 over a finite field, zero at exponents outside M) and its acceptance
 test (the cofactor is supported on M). Over Z it lists one divisor of
-each associate pair g, -g (the positive leading coefficient), and the
-kernel's exact division skips a divisor whose value at 1 or at -1 does
-not divide f's there; over a finite field every candidate is tried.
+each associate pair g, -g (the positive leading coefficient), and skips,
+before dividing, a g whose value at 1, -1, 2 or -2 does not divide f's
+(g*h = f gives g(x)*h(x) = f(x)); over a finite field every candidate is
+divided.
 
 Restricting to numerical monoids is what keeps everything decidable;
 it also grants the construction's standing hypotheses for free (the
@@ -306,9 +307,10 @@ def is_irreducible_by_search(
     - only positive leading coefficients are listed: g and -g are
       associates, and the box, the constant-term pool and the test that
       the cofactor lies in B[M] are all unchanged by g -> -g;
-    - ``dense_exact_quotient`` refuses g before dividing when g(1) does
-      not divide f(1) or g(-1) does not divide f(-1): g*h = f gives
-      g(x)*h(x) = f(x).
+    - the kernel's divisor loop computes f(1), f(-1), f(2) and f(-2) once
+      per search and refuses g before dividing when g(x) does not divide
+      f(x) at one of those points, a zero g(x) passing only a zero f(x):
+      g*h = f gives g(x)*h(x) = f(x).
     """
     ring = f.ring
     if not ring.is_domain():

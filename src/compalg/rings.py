@@ -22,8 +22,10 @@ hooks and the descriptor's ``zero_value``, ``one_value`` and
 ``element_values``. So the same code serves ExtensionField (over its
 prime field), subfield embeddings, Polynomial (over any ring) and the
 searches of composite and monoid_domain. The one search loop is
-``dense_find_divisor`` over ``dense_exact_quotient``: trial division and
-the two searches differ only in their candidate pools and acceptance test.
+``dense_find_divisor`` over ``dense_divider``: trial division and the two
+searches differ only in their candidate pools and acceptance test. Over
+Z each candidate g is screened at 1, -1, 2 and -2 before it is divided:
+g*h = f gives g(x)*h(x) = f(x), so g(x) | f(x), and g(x) = 0 only if f(x) = 0.
 """
 
 from __future__ import annotations
@@ -135,17 +137,11 @@ def dense_ext_gcd(ring: "Ring", a, b) -> tuple[list, list]:
 
 def dense_exact_quotient(ring: "Ring", a, b) -> Optional[list]:
     """q with b*q = a, or None. Elsewhere than over Z, b's leading
-    coefficient must be a unit. Over Z, b*q = a gives b(x)*q(x) = a(x) at
-    x = 1 and x = -1, so b's value must divide a's there (a zero value of
-    b only a zero value of a) before the long division starts, and that
-    division stops at the first step that does not divide."""
+    coefficient must be a unit; over Z the long division stops at the
+    first step that does not divide."""
     if not isinstance(ring, Integers):
         q, r = dense_divmod(ring, a, b)
         return None if r else q
-    a_even, a_odd, b_even, b_odd = sum(a[::2]), sum(a[1::2]), sum(b[::2]), sum(b[1::2])
-    for av, bv in ((a_even + a_odd, b_even + b_odd), (a_even - a_odd, b_even - b_odd)):
-        if (av % bv if bv else av) != 0:
-            return None
     rem, lead, n = list(a), b[-1], len(b) - 1
     q = [0] * (len(rem) - n)
     for shift in range(len(q) - 1, -1, -1):
@@ -160,19 +156,49 @@ def dense_exact_quotient(ring: "Ring", a, b) -> Optional[list]:
     return None if any(rem) else q
 
 
+def dense_divider(ring: "Ring", f):
+    """What the search calls as divide(ring, f, g): ``dense_exact_quotient``
+    itself, with no extra call, except over Z. There f's values are taken
+    once and g is screened as ``dense_find_divisor`` says: g(1), g(-1) from
+    sums, then g(2), g(-2) by Horner only if g passes at 1 and -1."""
+    if not isinstance(ring, Integers):
+        return dense_exact_quotient
+    f1 = sum(f)
+    fm1, f2, fm2 = 2 * sum(f[::2]) - f1, dense_eval(ring, f, 2), dense_eval(ring, f, -2)
+
+    def divide(ring, f, g):
+        g1 = sum(g)
+        gm1 = 2 * sum(g[::2]) - g1
+        if (f1 % g1 if g1 else f1) or (fm1 % gm1 if gm1 else fm1):
+            return None
+        g2 = gm2 = 0
+        for c in reversed(g):
+            g2 = 2 * g2 + c
+            gm2 = c - 2 * gm2
+        if (f2 % g2 if g2 else f2) or (fm2 % gm2 if gm2 else fm2):
+            return None
+        return dense_exact_quotient(ring, f, g)
+
+    return divide
+
+
 def dense_find_divisor(ring: "Ring", f, pool_lists, accept) -> Optional[tuple]:
     """The first (g, q) with g*q = f and accept(q), or None. For each list of
     per-coefficient pools in turn, g runs over ``itertools.product(*pools)``.
-    Candidates are counted, and refused over the work budget, before the first division."""
+    Candidates are counted, and refused over the work budget, before the first
+    division. Over Z, g must pass at 1, -1, 2 and -2 before it is divided:
+    g*h = f gives g(x)*h(x) = f(x), so g(x) divides f(x) and a zero g(x)
+    passes only a zero f(x)."""
     lists, steps = [], 0
     for pools in pool_lists:
         # a step-1 range, such as the Z box [-c, c], may be too long for len()
         steps += prod(p.stop - p.start if isinstance(p, range) else len(p) for p in pools)
         check_work(steps, "divisor search")
         lists.append(pools)
+    divide = dense_divider(ring, f)
     for pools in lists:
         for g in itertools.product(*pools):
-            q = dense_exact_quotient(ring, f, g)
+            q = divide(ring, f, g)
             if q is not None and accept(q):
                 return g, q
     return None
@@ -213,7 +239,12 @@ class Ring:
     """Common interface for ring descriptors.
 
     Subclasses are frozen dataclasses, hence hashable and comparable;
-    two descriptors are the same ring exactly when they are equal.
+    two descriptors are the same ring exactly when they are equal. Each
+    kind defines the hooks ``canon(value)``, ``add_values(a, b)``,
+    ``mul_values(a, b)``, ``neg_value(a)``, ``is_unit_value(a)``,
+    ``inverse_value(a)``, ``is_nilpotent_value(a)``, ``is_domain()``,
+    ``name()`` and ``value_sort_key(a)``, a total order on canonical
+    values used for deterministic output.
     """
 
     is_field = False
@@ -235,34 +266,9 @@ class Ring:
     def one_value(self) -> Value:
         return self.canon(1)
 
-    # subclass hooks -------------------------------------------------
-    def canon(self, value) -> Value:
-        raise NotImplementedError
-
-    def add_values(self, a: Value, b: Value) -> Value:
-        raise NotImplementedError
-
-    def mul_values(self, a: Value, b: Value) -> Value:
-        raise NotImplementedError
-
-    def neg_value(self, a: Value) -> Value:
-        raise NotImplementedError
-
-    def is_unit_value(self, a: Value) -> bool:
-        raise NotImplementedError
-
-    def inverse_value(self, a: Value) -> Value:
-        raise NotImplementedError
-
-    def is_nilpotent_value(self, a: Value) -> bool:
-        raise NotImplementedError
-
     def size(self) -> int | None:
         """Number of elements, or None for infinite rings."""
         return None
-
-    def is_domain(self) -> bool:
-        raise NotImplementedError
 
     def element_values(self) -> Iterable[Value]:
         """All canonical values in ascending order (finite rings only)."""
@@ -272,15 +278,8 @@ class Ring:
         """All elements in canonical ascending order (finite rings only)."""
         return (RingElement(self, v) for v in self.element_values())
 
-    def name(self) -> str:
-        raise NotImplementedError
-
     def value_text(self, a: Value) -> str:
         return str(a)
-
-    def value_sort_key(self, a: Value) -> int:
-        """Total order on canonical values, used for deterministic output."""
-        raise NotImplementedError
 
     def __repr__(self):  # pragma: no cover - debug aid
         return self.name()

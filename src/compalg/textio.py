@@ -13,7 +13,10 @@ Forms:
   key records rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)
 
 Short field names like F4 pick the deterministic default modulus;
-explicit-modulus names round-trip losslessly.
+explicit-modulus names round-trip losslessly. Every integer is spelled
+in ASCII digits without a leading zero. Only scalar values and ideal
+generators may carry one leading '-', and the size after F, so that F-3
+is refused as no prime power. Whitespace is allowed only around separators.
 """
 
 from __future__ import annotations
@@ -35,8 +38,18 @@ from .rings import (
     default_extension_field,
 )
 
-_TERM_RE = re.compile(r"^(\d+)?(t(\^(\d+))?)?$")
-_EXT_RE = re.compile(r"^F\((\d+)\)=F(\d+)\[t\]/\((.+)\)$")
+_TERM_RE = re.compile(r"^([0-9]+)?(t(\^([0-9]+))?)?$")
+_EXT_RE = re.compile(r"^F\(([0-9]+)\)=F([0-9]+)\[t\]/\((.+)\)$")
+
+
+def _int(text: str, error: str, signed: bool = False) -> int:
+    """The integer text spells exactly: ASCII digits without a leading zero,
+    after one '-' only when signed. Any other spelling, such as '+5', '4_0',
+    ' 4', '04', '-0' or a non-ASCII digit, raises FormatError(error)."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0"):
+        return int(text)
+    raise FormatError(error)
 
 
 def parse_ring(text: str) -> Ring:
@@ -44,13 +57,10 @@ def parse_ring(text: str) -> Ring:
     if text == "Z":
         return Integers()
     if text.startswith("Z/"):
-        try:
-            return IntegersMod(int(text[2:]))
-        except ValueError:
-            raise FormatError(f"bad modulus in ring name {text!r}") from None
+        return IntegersMod(_int(text[2:], f"bad modulus in ring name {text!r}"))
     m = _EXT_RE.match(text)
     if m:
-        q, p = int(m.group(1)), int(m.group(2))
+        q, p = (_int(g, f"bad size or base in ring name {text!r}") for g in m.group(1, 2))
         # ExtensionField's own parameter checks, made before the modulus is
         # densified and trial-divided, and before q = p^k is checked
         if not is_prime(p):
@@ -63,10 +73,7 @@ def parse_ring(text: str) -> Ring:
             raise FormatError(f"ring name {text!r}: size {q} does not match modulus")
         return ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(k + 1)))
     if text.startswith("F"):
-        try:
-            q = int(text[1:])
-        except ValueError:
-            raise FormatError(f"unrecognized ring name {text!r}") from None
+        q = _int(text[1:], f"unrecognized ring name {text!r}", signed=True)
         fac = factorize(q) if q > 0 else {}
         if len(fac) != 1:
             raise FormatError(f"F{q}: {q} is not a prime power")
@@ -95,15 +102,16 @@ def _parse_tpoly(text: str, p: int) -> dict[int, int]:
     for raw in text.split("+"):
         term = raw.strip()
         m = _TERM_RE.match(term)
+        error = f"bad term {term!r} in field element"
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise FormatError(f"bad term {term!r} in field element")
-        coeff = int(m.group(1)) if m.group(1) else 1
+            raise FormatError(error)
+        coeff = _int(m.group(1), error) if m.group(1) else 1
         if m.group(2) is None:
             exp = 0
         elif m.group(4) is None:
             exp = 1
         else:
-            exp = int(m.group(4))
+            exp = _int(m.group(4), error)
         coeffs[exp] = (coeffs.get(exp, 0) + coeff) % p
     return coeffs
 
@@ -114,10 +122,7 @@ def parse_scalar(ring: Ring, text: str) -> RingElement:
         t = ring.element((0, 1))  # powers by square-and-multiply, not a dense list
         terms = _parse_tpoly(text, ring.p).items()
         return sum((ring.element(c) * t ** e for e, c in terms), ring.zero())
-    try:
-        return ring.element(int(text))
-    except ValueError:
-        raise FormatError(f"bad element {text!r} for {ring.name()}") from None
+    return ring.element(_int(text, f"bad element {text!r} for {ring.name()}", signed=True))
 
 
 def parse_element(text: str) -> RingElement:
@@ -199,11 +204,8 @@ def parse_monoid(text: str) -> NumericalMonoid:
     text = text.strip()
     if not (text.startswith("M<") and text.endswith(">")):
         raise FormatError(f"expected M<gens>, got {text!r}")
-    try:
-        gens = [int(g) for g in text[2:-1].split(",")]
-    except ValueError:
-        raise FormatError(f"bad generators in {text!r}") from None
-    return NumericalMonoid(gens)
+    error = f"bad generators in {text!r}"
+    return NumericalMonoid([_int(g.strip(), error) for g in text[2:-1].split(",")])
 
 
 def monoid_text(m: NumericalMonoid) -> str:
@@ -232,10 +234,7 @@ def parse_monoid_element(text: str) -> MonoidElement:
             exp_part, sep, coeff_part = pair.partition(":")
             if not sep:
                 raise FormatError(f"bad term {pair!r} in monoid element")
-            try:
-                exp = int(exp_part)
-            except ValueError:
-                raise FormatError(f"bad exponent {exp_part!r}") from None
+            exp = _int(exp_part.strip(), f"bad exponent {exp_part!r}")
             terms.append((exp, parse_scalar(ring, coeff_part)))
     return MonoidElement(ring, monoid, terms)
 
@@ -250,10 +249,8 @@ def parse_ideal(text: str) -> PrincipalIdeal:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise FormatError(f"expected (n), got {text!r}")
-    try:
-        return PrincipalIdeal(int(text[1:-1]))
-    except ValueError:
-        raise FormatError(f"bad ideal generator in {text!r}") from None
+    error = f"bad ideal generator in {text!r}"
+    return PrincipalIdeal(_int(text[1:-1].strip(), error, signed=True))
 
 
 def ideal_text(i: PrincipalIdeal) -> str:

@@ -212,6 +212,33 @@ def test_a_field_size_that_is_not_a_prime_power_is_a_format_error(size):
         1, "", f"ERR:format: F{size}: {size} is not a prime power\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring", "check", "Z/4_0:1"],
+        ["ring", "check", "F04:1"],
+        ["ring", "check", "F1_1:1"],
+        ["ring", "check", "F+4:1"],
+        ["ring", "check", "Z/ 4:1"],
+        ["ring", "check", "Z/-3:1"],
+        ["ring", "check", "F\u0664:1"],  # an Arabic-Indic four
+        ["ring", "check", "F4:\u0663"],  # an Arabic-Indic three
+        ["ring", "check", "F4:t^02"],
+        ["ring", "check", "F(04)=F2[t]/(t^2+t+1):1"],
+        ["ring", "check", "Z:+5"],
+        ["ring", "check", "Z:007"],
+        ["ring", "check", "Z:-0"],
+        ["monoid", "contains", "M<2,0_3>", "5"],
+        ["monoid", "check", "Z:M<2,3>:{02:1}"],
+        ["ideal", "norm", "(+15)"],
+    ],
+    ids=" ".join,
+)
+def test_an_integer_spelled_other_than_in_ascii_digits_is_a_format_error(argv):
+    code, out, err = run_cli(argv)
+    _assert_clean_error(code, out, err, "ERR:format: ")
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli(["no-such-group"])
     assert code == 2

@@ -1,12 +1,13 @@
 """Numerical monoids, monoid-domain elements, the certified irreducible
 construction and its brute-force verification."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compalg import arith, monoid_domain, rings
-from compalg.rings import dense_exact_quotient, dense_mul
+from compalg.errors import check_work
+from compalg.rings import dense_divider, dense_exact_quotient, dense_mul
 from compalg import (
     CeilingError,
     Integers,
@@ -396,6 +398,20 @@ def test_exact_quotient_over_z_matches_plain_long_division(
         assert dense_exact_quotient(Z, a, tuple(b)) == long_quotient(a, b)
 
 
+# the factors whose value is zero at a screen point: X - 1, X + 1, X - 2, X + 2, X^2 - 4
+SCREEN_ZEROS = [[], [-1, 1], [1, 1], [-2, 1], [2, 1], [-4, 0, 1]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(short_lists, nonzero, st.sampled_from(SCREEN_ZEROS), short_lists, nonzero,
+       st.sampled_from(SCREEN_ZEROS))
+def test_the_screen_never_rejects_a_true_divisor(g_low, g_lead, g_zero, h_low, h_lead, h_zero):
+    g = dense_mul(Z, g_low + [g_lead], g_zero or [1])
+    h = dense_mul(Z, h_low + [h_lead], h_zero or [1])
+    f = dense_mul(Z, g, h)
+    assert dense_divider(Z, f)(Z, f, tuple(g)) == h
+
+
 class Lead(int):
     """An integer leading coefficient that counts the division steps by it."""
 
@@ -404,6 +420,16 @@ class Lead(int):
     def __rmod__(self, other):
         Lead.steps += 1
         return int.__rmod__(self, other)
+
+
+def screened_and_never_divided(a, b):
+    Lead.steps = 0
+    assert dense_divider(Z, a)(Z, a, tuple(b)) is None
+    assert Lead.steps == 0
+    # the same values pass once a is a multiple of b, and the division runs
+    ba = dense_mul(Z, b, a)
+    assert dense_divider(Z, ba)(Z, ba, tuple(b)) == a
+    assert Lead.steps > 0
 
 
 @pytest.mark.parametrize(
@@ -417,18 +443,27 @@ class Lead(int):
     ids=["zero-at-1", "zero-at-minus-1", "minus-1", "plus-1"],
 )
 def test_a_divisor_whose_values_at_1_and_minus_1_do_not_divide_is_never_divided(a, b):
-    Lead.steps = 0
-    assert dense_exact_quotient(Z, a, tuple(b)) is None
-    assert Lead.steps == 0
-    # the same values pass once a is a multiple of b, and the division runs
-    assert dense_exact_quotient(Z, dense_mul(Z, b, a), tuple(b)) == a
-    assert Lead.steps > 0
+    screened_and_never_divided(a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([-1, 1], [3, Lead(1)]),  # b(2) = 5 does not divide a(2) = 1
+        ([1, 1], [-3, Lead(1)]),  # b(-2) = -5 does not divide a(-2) = -1
+        ([0, 0, 1, 1], [-2, Lead(1)]),  # b = X - 2: b(2) = 0, a(2) = 12
+        ([0, -4, 1], [2, Lead(1)]),  # b = X + 2: b(-2) = 0, a(-2) = 12
+    ],
+    ids=["plus-2", "minus-2", "zero-at-2", "zero-at-minus-2"],
+)
+def test_a_divisor_that_passes_at_1_and_minus_1_but_not_at_2_or_minus_2_is_never_divided(a, b):
+    screened_and_never_divided(a, b)
 
 
 def unpruned_search(f, c):
     """The Z box search with no skipped candidate: both signs of each
     leading divisor, the whole box at every member exponent, and every
-    candidate divided out in full."""
+    candidate divided out in full by plain long division."""
     monoid, dense = f.monoid, [0] * (f.max_exponent() + 1)
     for e, v in f._values:
         dense[e] = v
@@ -439,13 +474,18 @@ def unpruned_search(f, c):
         return False
     box = range(-c, c + 1)
     leads = [s * d for d in arith.divisors(abs(dense[-1])) for s in (1, -1)]
-    pool_lists = (
+    pool_lists = [
         [box if monoid.contains(e) else (0,) for e in range(dg)] + [leads]
         for dg in range(1, deg)
         if monoid.contains(dg) and monoid.contains(deg - dg)
-    )
-    accept = lambda q: all(x == 0 or monoid.contains(e) for e, x in enumerate(q))
-    return rings.dense_find_divisor(Z, dense, pool_lists, accept) is None
+    ]
+    check_work(sum(prod(map(len, pools)) for pools in pool_lists), "the unpruned search")
+    for pools in pool_lists:
+        for g in itertools.product(*pools):
+            q = long_quotient(dense, g)
+            if q is not None and all(x == 0 or monoid.contains(e) for e, x in enumerate(q)):
+                return False
+    return True
 
 
 def random_element(rng, monoid, top):
@@ -454,8 +494,8 @@ def random_element(rng, monoid, top):
     return MonoidElement(Z, monoid, terms)
 
 
-def test_the_z_search_gives_the_unpruned_verdict(monkeypatch):
-    """Listing one sign per leading divisor and the value test at 1 and -1
+def test_the_z_search_gives_the_unpruned_verdict():
+    """Listing one sign per leading divisor and the screen at 1, -1, 2 and -2
     skip candidates, never a verdict, wherever the unpruned search fits
     the work budget."""
     rng = random.Random(22)
@@ -468,12 +508,10 @@ def test_the_z_search_gives_the_unpruned_verdict(monkeypatch):
             if f.is_zero() or f.is_unit():
                 continue
             c = rng.randint(1, 3)
-            with monkeypatch.context() as patch:
-                patch.setattr(rings, "dense_exact_quotient", lambda ring, a, b: long_quotient(a, b))
-                try:
-                    expected = unpruned_search(f, c)
-                except CeilingError:
-                    continue
+            try:
+                expected = unpruned_search(f, c)
+            except CeilingError:
+                continue
             assert is_irreducible_by_search(f, f.max_exponent(), c) == expected, (f, c)
             verdicts.append(expected)
     assert len(verdicts) >= 300 and verdicts.count(True) >= 100 and verdicts.count(False) >= 100
@@ -483,9 +521,9 @@ def test_the_z_search_lists_only_positive_leading_divisors(monkeypatch):
     f = MonoidElement(Z, M23, {0: 1, 3: 5, 7: 12})
     leads = Counter()
 
-    def recording(ring, a, b):
-        leads[b[-1]] += 1
+    def recording(ring, f, g):
+        leads[g[-1]] += 1
 
-    monkeypatch.setattr(rings, "dense_exact_quotient", recording)
+    monkeypatch.setattr(rings, "dense_divider", lambda ring, f: recording)
     assert is_irreducible_by_search(f, 7, 1)
     assert sorted(leads) == [1, 2, 3, 4, 6, 12] and len(set(leads.values())) == 1

@@ -1,9 +1,9 @@
 """The work budget counts exactly the candidates the divisor loop tries.
 
-For one irreducible input of each search kind every candidate is divided
-into f, so the number of ``dense_exact_quotient`` calls is the search's
-whole cost. A budget of exactly that count answers the input; one step
-less refuses it before any division.
+For one irreducible input of each search kind every candidate is tested
+against f, so the number of candidates ``dense_divider`` screens or
+divides is the search's whole cost. A budget of exactly that count
+answers the input; one step less refuses it before any division.
 """
 
 import pytest
@@ -33,15 +33,20 @@ CASES = {
 
 def divisions(monkeypatch, call):
     count = 0
-    divide = rings.dense_exact_quotient
+    divider = rings.dense_divider
 
-    def counting(*args):
-        nonlocal count
-        count += 1
-        return divide(*args)
+    def counting(ring, f):
+        divide = divider(ring, f)
+
+        def tested(ring, f, g):
+            nonlocal count
+            count += 1
+            return divide(ring, f, g)
+
+        return tested
 
     with monkeypatch.context() as patch:
-        patch.setattr(rings, "dense_exact_quotient", counting)
+        patch.setattr(rings, "dense_divider", counting)
         patch.setattr(errors, "WORK_BUDGET", 1 << 30)
         call()
     return count
