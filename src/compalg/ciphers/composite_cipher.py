@@ -28,7 +28,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import check_domain
-from ..errors import FormatError, ParameterError, check_work
+from ..errors import FormatError, ParameterError, check_work, read_int
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -192,10 +192,8 @@ class CipherText:
 
     @classmethod
     def from_text(cls, text: str) -> "CipherText":
-        try:
-            nums = [int(tok) for tok in text.split()]
-        except ValueError:
-            raise FormatError("ciphertext must be whitespace-separated integers") from None
+        error = "ciphertext must be whitespace-separated integers"
+        nums = [read_int(tok, error, signed=True) for tok in text.split()]
         if not nums or nums[0] < 0:
             raise FormatError("ciphertext must start with the plaintext length")
         return cls(tuple(nums[1:]), nums[0])
@@ -329,11 +327,12 @@ def _parse_system(text: str, pos: int) -> tuple[LetterCipher, int]:
                     return builder(first, second), _skip_blanks(text, pos + 1)
             raise FormatError(f"{name} takes two systems, got {text[start:]!r}")
     if text.startswith("aff(", pos):
+        error = f"bad affine descriptor {text[start:]!r}"
         try:
             end = text.index(")", pos)
-            a, b, s = (int(x) for x in text[pos + 4 : end].split(","))
+            a, b, s = (read_int(x.strip(), error, True) for x in text[pos + 4 : end].split(","))
         except ValueError:
-            raise FormatError(f"bad affine descriptor {text[start:]!r}") from None
+            raise FormatError(error) from None
         return AffineCipher(a, b, s), _skip_blanks(text, end + 1)
     raise FormatError(f"unrecognized cipher descriptor {text[start:]!r}")
 

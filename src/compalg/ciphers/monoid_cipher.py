@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import check_domain
 from ..arith import factorize, generates_units, is_prime, prime_factors
-from ..errors import FormatError, ParameterError, check_work
+from ..errors import ParameterError, check_work, read_int
 from ..textio import key_record_text, parse_key_record
 
 
@@ -211,10 +211,7 @@ def key_to_text(key: MonoidCipherKey) -> str:
 
 def key_from_text(text: str) -> MonoidCipherKey:
     fields = parse_key_record(text, "monoid-cipher", ("P", "X", "A"))
-    try:
-        p = int(fields["P"])
-        x = int(fields["X"])
-        coeffs = tuple(int(a) for a in fields["A"].split(","))
-    except ValueError:
-        raise FormatError("monoid-cipher key record has a non-integer field") from None
+    error = "monoid-cipher key record has a non-integer field"
+    p, x = (read_int(fields[name], error, signed=True) for name in ("P", "X"))
+    coeffs = tuple(read_int(a, error, signed=True) for a in fields["A"].split(","))
     return MonoidCipherKey(p, x, coeffs)

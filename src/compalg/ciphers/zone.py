@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import check_domain
 from ..arith import is_prime
-from ..errors import FormatError, ParameterError, check_work
+from ..errors import FormatError, ParameterError, check_work, read_int
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,6 @@ def pairs_from_text(text: str) -> list[tuple[int, int]]:
         t, sep, d = token.partition(":")
         if not sep:
             raise FormatError(f"expected zone:digit, got {token!r}")
-        try:
-            out.append((int(t), int(d)))
-        except ValueError:
-            raise FormatError(f"zone:digit halves must be integers, got {token!r}") from None
+        error = f"zone:digit halves must be integers, got {token!r}"
+        out.append((read_int(t, error, signed=True), read_int(d, error, signed=True)))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CompalgError, FormatError, ParameterError
+from .errors import CompalgError, FormatError, ParameterError, read_int
 
 # Every other import is made by the handler that needs it, so a call pays
 # only for the modules its subcommand uses.
@@ -43,11 +43,8 @@ def _emit(args, lines, obj) -> int:
 def _parse_values(text: str | None, sep: str | None = None) -> list[int]:
     if text is None:
         raise ParameterError("need --values")
-    try:
-        return [int(tok) for tok in text.split(sep)]
-    except ValueError:
-        kind = "comma" if sep else "whitespace"
-        raise FormatError(f"expected {kind}-separated integers, got {text!r}") from None
+    error = f"expected {'comma' if sep else 'whitespace'}-separated integers, got {text!r}"
+    return [read_int(tok.strip(), error, signed=True) for tok in text.split(sep)]
 
 
 def _read_text(path: str) -> str:
@@ -527,8 +524,15 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def integer(text: str) -> int:
+    try:  # argparse turns a ValueError into a usage error naming this type
+        return read_int(text, text, signed=True)
+    except FormatError:
+        raise ValueError(text) from None
+
+
 def _ints(*flags, **kwargs):
-    return [_arg(flag, type=int, **kwargs) for flag in flags]
+    return [_arg(flag, type=integer, **kwargs) for flag in flags]
 
 
 COMMON = [_arg("--format", choices=("text", "json"), default="text")]

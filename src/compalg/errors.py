@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the one integer reader.
 
 Each class carries a short machine-readable ``code`` so the CLI can emit
-``ERR:<code>: message`` lines without string matching.
+``ERR:<code>: message`` lines without string matching. ``read_int`` is the
+only code that turns text into an int; it reads n only as ``str(n)`` spells it.
 """
 
 #: the most steps (candidate divisors tried, values listed, trial divisors,
@@ -65,3 +66,16 @@ def check_work(steps: int, what: str) -> None:
         raise CeilingError(
             f"{what} needs at least {steps} steps, above the work budget {WORK_BUDGET}"
         )
+
+
+def read_int(text: str, error: str, signed: bool = False) -> int:
+    """The n that text spells as str(n) does: ASCII digits without a leading zero,
+    after one '-' only when signed, and no more digits than int() converts. Any
+    other spelling, such as '+5', '4_0', ' 4', '04' or '-0', raises FormatError(error)."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0"):
+        try:
+            return int(text)
+        except ValueError:  # over the interpreter's digit limit
+            pass
+    raise FormatError(error)

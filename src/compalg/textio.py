@@ -13,10 +13,10 @@ Forms:
   key records rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20)
 
 Short field names like F4 pick the deterministic default modulus;
-explicit-modulus names round-trip losslessly. Every integer is spelled
-in ASCII digits without a leading zero. Only scalar values and ideal
-generators may carry one leading '-', and the size after F, so that F-3
-is refused as no prime power. Whitespace is allowed only around separators.
+explicit-modulus names round-trip losslessly. Every integer is read by
+``errors.read_int``, spelled as ``str(n)`` spells it. Only scalar values and
+ideal generators may carry one leading '-', and the size after F, so that
+F-3 is refused as no prime power. Whitespace is allowed only around separators.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 # functions that build their objects, so the key-record codec the ciphers
 # use does not load them
 from .arith import factorize, is_prime
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, read_int
 from .rings import (
     ExtensionField,
     Integers,
@@ -42,25 +42,15 @@ _TERM_RE = re.compile(r"^([0-9]+)?(t(\^([0-9]+))?)?$")
 _EXT_RE = re.compile(r"^F\(([0-9]+)\)=F([0-9]+)\[t\]/\((.+)\)$")
 
 
-def _int(text: str, error: str, signed: bool = False) -> int:
-    """The integer text spells exactly: ASCII digits without a leading zero,
-    after one '-' only when signed. Any other spelling, such as '+5', '4_0',
-    ' 4', '04', '-0' or a non-ASCII digit, raises FormatError(error)."""
-    digits = text[1:] if signed and text.startswith("-") else text
-    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0"):
-        return int(text)
-    raise FormatError(error)
-
-
 def parse_ring(text: str) -> Ring:
     text = text.strip()
     if text == "Z":
         return Integers()
     if text.startswith("Z/"):
-        return IntegersMod(_int(text[2:], f"bad modulus in ring name {text!r}"))
+        return IntegersMod(read_int(text[2:], f"bad modulus in ring name {text!r}"))
     m = _EXT_RE.match(text)
     if m:
-        q, p = (_int(g, f"bad size or base in ring name {text!r}") for g in m.group(1, 2))
+        q, p = (read_int(g, f"bad size or base in ring name {text!r}") for g in m.group(1, 2))
         # ExtensionField's own parameter checks, made before the modulus is
         # densified and trial-divided, and before q = p^k is checked
         if not is_prime(p):
@@ -73,7 +63,7 @@ def parse_ring(text: str) -> Ring:
             raise FormatError(f"ring name {text!r}: size {q} does not match modulus")
         return ExtensionField(p, tuple(coeffs.get(e, 0) for e in range(k + 1)))
     if text.startswith("F"):
-        q = _int(text[1:], f"unrecognized ring name {text!r}", signed=True)
+        q = read_int(text[1:], f"unrecognized ring name {text!r}", signed=True)
         fac = factorize(q) if q > 0 else {}
         if len(fac) != 1:
             raise FormatError(f"F{q}: {q} is not a prime power")
@@ -105,13 +95,13 @@ def _parse_tpoly(text: str, p: int) -> dict[int, int]:
         error = f"bad term {term!r} in field element"
         if not m or (m.group(1) is None and m.group(2) is None):
             raise FormatError(error)
-        coeff = _int(m.group(1), error) if m.group(1) else 1
+        coeff = read_int(m.group(1), error) if m.group(1) else 1
         if m.group(2) is None:
             exp = 0
         elif m.group(4) is None:
             exp = 1
         else:
-            exp = _int(m.group(4), error)
+            exp = read_int(m.group(4), error)
         coeffs[exp] = (coeffs.get(exp, 0) + coeff) % p
     return coeffs
 
@@ -122,7 +112,7 @@ def parse_scalar(ring: Ring, text: str) -> RingElement:
         t = ring.element((0, 1))  # powers by square-and-multiply, not a dense list
         terms = _parse_tpoly(text, ring.p).items()
         return sum((ring.element(c) * t ** e for e, c in terms), ring.zero())
-    return ring.element(_int(text, f"bad element {text!r} for {ring.name()}", signed=True))
+    return ring.element(read_int(text, f"bad element {text!r} for {ring.name()}", signed=True))
 
 
 def parse_element(text: str) -> RingElement:
@@ -205,7 +195,7 @@ def parse_monoid(text: str) -> NumericalMonoid:
     if not (text.startswith("M<") and text.endswith(">")):
         raise FormatError(f"expected M<gens>, got {text!r}")
     error = f"bad generators in {text!r}"
-    return NumericalMonoid([_int(g.strip(), error) for g in text[2:-1].split(",")])
+    return NumericalMonoid([read_int(g.strip(), error) for g in text[2:-1].split(",")])
 
 
 def monoid_text(m: NumericalMonoid) -> str:
@@ -234,7 +224,7 @@ def parse_monoid_element(text: str) -> MonoidElement:
             exp_part, sep, coeff_part = pair.partition(":")
             if not sep:
                 raise FormatError(f"bad term {pair!r} in monoid element")
-            exp = _int(exp_part.strip(), f"bad exponent {exp_part!r}")
+            exp = read_int(exp_part.strip(), f"bad exponent {exp_part!r}")
             terms.append((exp, parse_scalar(ring, coeff_part)))
     return MonoidElement(ring, monoid, terms)
 
@@ -250,7 +240,7 @@ def parse_ideal(text: str) -> PrincipalIdeal:
     if not (text.startswith("(") and text.endswith(")")):
         raise FormatError(f"expected (n), got {text!r}")
     error = f"bad ideal generator in {text!r}"
-    return PrincipalIdeal(_int(text[1:-1].strip(), error, signed=True))
+    return PrincipalIdeal(read_int(text[1:-1].strip(), error, signed=True))
 
 
 def ideal_text(i: PrincipalIdeal) -> str:
@@ -266,15 +256,15 @@ def key_record_text(kind: str, fields: dict[str, object]) -> str:
 
 
 def parse_key_record(text: str, kind: str, names: tuple[str, ...]) -> dict[str, str]:
-    """The fields of a key record of the given kind; each of names must occur."""
+    """The fields of a key record of the given kind: each of names once, no other."""
     parts = text.split()
     if parts[:2] != [kind, KEY_RECORD_VERSION]:
         raise FormatError(f"not a {kind} {KEY_RECORD_VERSION} key record")
     fields = {}
     for part in parts[2:]:
         name, sep, value = part.partition("=")
-        if not sep:
-            raise FormatError(f"{kind} key record field {part!r} has no '='")
+        if not sep or name in fields or name not in names:
+            raise FormatError(f"{kind} key record field {part!r} is unknown, repeated or lacks '='")
         fields[name] = value
     missing = [name for name in names if name not in fields]
     if missing:

@@ -552,6 +552,36 @@ def test_deep_descriptor_is_a_format_error_in_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_cipher, "aff(1,0,26)x", "unexpected 'x' after cipher descriptor"),
+        (parse_cipher_polynomial, "poly[aff(1,1,26) x]", "unexpected 'x' in cipher polynomial"),
+        (parse_cipher, "aff(1,2)", "bad affine descriptor 'aff(1,2)'"),
+        (parse_cipher, "aff(1,2,26", "bad affine descriptor 'aff(1,2,26'"),
+        (parse_cipher, "aff(+1,0,26)", "bad affine descriptor 'aff(+1,0,26)'"),
+        (CipherText.from_text, "-1 3", "ciphertext must start with the plaintext length"),
+        (CipherText.from_text, "2 1_0", "ciphertext must be whitespace-separated integers"),
+        (monoid_cipher.key_from_text, "monoid-cipher v1 P=2_9 X=2 A=3",
+         "monoid-cipher key record has a non-integer field"),
+        (monoid_cipher.key_from_text, "monoid-cipher v1 P=29 X=2 A=3 X=3 Q=junk",
+         "monoid-cipher key record field 'X=3' is unknown, repeated or lacks '='"),
+        (monoid_cipher.key_from_text, "monoid-cipher v1 P=29 X=2 A=3 Q=junk",
+         "monoid-cipher key record field 'Q=junk' is unknown, repeated or lacks '='"),
+    ],
+    ids=["trailing-x", "poly-trailing-x", "aff-arity", "aff-unclosed", "aff-plus",
+         "negative-length", "underscore", "p-underscore", "repeated-x", "unknown-q"],
+)
+def test_a_malformed_text_is_refused_with_what_is_wrong(parse, text, message):
+    with pytest.raises(FormatError) as refused:
+        parse(text)
+    assert str(refused.value) == message
+
+
+def test_a_descriptor_reads_blanks_beside_its_commas():
+    assert parse_cipher("aff( 3, 1 ,26 )").descriptor() == "aff(3,1,26)"
+
+
 def test_900_deep_descriptor_parses_and_round_trips():
     text = f"poly[{_nested_descriptor(900)},aff(3,1,26)]"
     key = parse_cipher_polynomial(text)

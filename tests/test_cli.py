@@ -231,12 +231,49 @@ def test_a_field_size_that_is_not_a_prime_power_is_a_format_error(size):
         ["monoid", "contains", "M<2,0_3>", "5"],
         ["monoid", "check", "Z:M<2,3>:{02:1}"],
         ["ideal", "norm", "(+15)"],
+        # integers read outside textio, by errors.read_int too
+        ["rsa", "encrypt", "--p", "3", "--q", "11", "--e", "3", "--values", " 05 +6"],
+        ["frac", "decrypt", "--alpha", "29", "--k", "7", "--values", "6 1_0"],
+        ["zone", "decrypt", "--p", "29", "--q", "5", "--k", "3", "--pairs", "\u0661:\u0663"],
+        ["compcipher", "decrypt", "--f", "poly[aff(1,0,26)]", "--g", "poly[aff(1,0,26)]",
+         "--cipher", "+1 2"],
+        ["compcipher", "keygen", "--f", "poly[aff(+1,0,26)]", "--g", "poly[aff(1,0,26)]"],
+        ["monoid", "build", "Z:M<2,3>", "--primes", "+2", "--exponents", "2,3"],
+        ["monoid", "build", "Z:M<2,3>", "--primes", "2", "--exponents", "2,03"],
+        ["monoidcipher", "encrypt", "--p", "29", "--x", "2", "--a", "3,0_5", "--values", "1"],
+        # a last argument that is a key record is passed as a --key file
+        ["monoidcipher", "encrypt", "--values", "1", "monoid-cipher v1 P=+29 X=2 A=3"],
     ],
     ids=" ".join,
 )
-def test_an_integer_spelled_other_than_in_ascii_digits_is_a_format_error(argv):
+def test_an_integer_spelled_other_than_in_ascii_digits_is_a_format_error(tmp_path, argv):
+    if argv[-1].startswith("monoid-cipher "):
+        key = tmp_path / "key.txt"
+        key.write_text(argv[-1] + "\n")
+        argv = [*argv[:-1], "--key", str(key)]
     code, out, err = run_cli(argv)
     _assert_clean_error(code, out, err, "ERR:format: ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["rsa", "keygen", "--p", "+3", "--q", "11", "--e", "3"], "--p"),
+        (["rsa", "keygen", "--p", "3", "--q", "1_1", "--e", "3"], "--q"),
+        (["zone", "encrypt", "--p", "29", "--q", "5", "--k", "\u0663", "--values", "7"], "--k"),
+        (["poly", "oracle", "Z/4:[1,2]", "--bound", "08"], "--bound"),
+        (["monoidcipher", "keygen", "--p", "29", "--seed", " 1"], "--seed"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_an_option_value_spelled_other_than_str_n_is_a_usage_error(argv, flag):
+    code, out, err = run_cli(argv)
+    value = argv[argv.index(flag) + 1]
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"{cli.PROG} {argv[0]} {argv[1]}: error: argument {flag}: invalid integer value: {value!r}"
+    )
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():
@@ -366,8 +403,12 @@ def _assert_clean_error(code, out, err, prefix):
         ("monoidcipher", "monoid-cipher v1 P=29 X=2 A"),
         ("compcipher", "composite-cipher v1 S=26"),
         ("compcipher", "composite-cipher v1 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)]"),
+        ("monoidcipher", "monoid-cipher v1 P=29 X=2 A=3 X=3 Q=junk"),
+        ("rsa", "rsa-ideal v1 N=(33) E=(3) D=(7) PHI=(20) E=(3)"),
+        ("compcipher", "composite-cipher v1 S=26 F=poly[aff(1,1,26)] G=poly[aff(3,0,26)] H=x"),
     ],
-    ids=["rsa", "monoidcipher", "compcipher", "compcipher-no-S"],
+    ids=["rsa", "monoidcipher", "compcipher", "compcipher-no-S", "monoidcipher-repeated-x",
+         "rsa-repeated-e", "compcipher-unknown-h"],
 )
 def test_malformed_key_record_is_a_format_error(tmp_path, group, record):
     key_path = tmp_path / "key.txt"
@@ -544,6 +585,12 @@ def test_inverse_search_bound_is_limited_only_by_the_work_budget():
     assert run_cli(["poly", "oracle", "Z/4:[1,2]", "--bound", "16384"]) == (
         1, "", "ERR:ceiling: inverse search needs at least 65540 steps, above the work budget "
                "65536\n")
+
+
+def test_an_inverse_search_that_finds_nothing_prints_none():
+    assert run_cli(["poly", "oracle", "Z/4:[2]", "--bound", "2"]) == (0, "none\n", "")
+    assert run_cli(["poly", "oracle", "Z/4:[2]", "--bound", "2", "--format", "json"]) == (
+        0, '{"inverse": null}\n', "")
 
 
 def test_field_element_with_a_huge_exponent():

@@ -96,8 +96,15 @@ def test_import_compalg_loads_no_submodule():
          ["composite", "monoid_domain", "keyexchange", "ciphers"]),
         (["rsa", "keygen", "--p", "3", "--q", "11", "--e", "3"], ["N=(33) E=(3) D=(7)"],
          ["composite", "poly", "monoid_domain"]),
+        # the integers of these calls are read by errors.read_int, which needs
+        # neither textio nor the rings it loads
+        (["zone", "decrypt", "--p", "29", "--q", "5", "--k", "3", "--pairs", "1:1 0:3"], ["7 1"],
+         ["rings", "textio", "poly"]),
+        (["compcipher", "decrypt", "--f", "poly[aff(1,1,26),aff(1,2,26)]",
+          "--g", "poly[aff(1,0,26)]", "--cipher", "2 1 0 3 1"], ["0 1"],
+         ["rings", "textio", "poly"]),
     ],
-    ids=["poly-irreducible", "rsa-keygen"],
+    ids=["poly-irreducible", "rsa-keygen", "zone-decrypt", "compcipher-decrypt"],
 )
 def test_cli_call_loads_only_what_it_uses(argv, stdout, unused):
     lines, loaded = _loaded_by(f"from compalg.cli import dispatch\nassert dispatch({argv!r}) == 0")

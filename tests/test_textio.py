@@ -1,8 +1,13 @@
 """Canonical text forms round-trip through parse and format."""
 
+import sys
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compalg import FormatError, IntegersMod, PrimeField, default_extension_field
+from compalg.errors import read_int
 from compalg.textio import (
     composite_text,
     ideal_text,
@@ -115,3 +120,40 @@ def test_bad_forms_raise(parser, bad):
 
     with pytest.raises(CompalgError):
         parser(bad)
+
+
+def _spelled(text):
+    """The n with str(n) == text, or None."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
+@given(
+    st.one_of(
+        st.integers().map(str),
+        st.integers().map(lambda n: f"{n:_}"),
+        st.text(alphabet="0123456789-+_ \t\u0663\u0664\uff11x", max_size=8),
+    ),
+    st.booleans(),
+)
+def test_read_int_reads_an_integer_only_as_str_spells_it(text, signed):
+    n = _spelled(text)
+    if n is not None and (signed or n >= 0):
+        assert read_int(text, "bad", signed) == n
+    else:
+        with pytest.raises(FormatError, match="^bad$"):
+            read_int(text, "bad", signed)
+
+
+def test_read_int_refuses_more_digits_than_the_interpreter_converts():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert read_int("7" * 5000, "long") == int("7" * 5000)
+        with pytest.raises(FormatError, match="^long$"):
+            read_int("7" * 5001, "long")
+    finally:
+        sys.set_int_max_str_digits(limit)
