@@ -11,7 +11,6 @@ kept as a fast path: it agrees with the general rule whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Optional
 
 from . import check_domain
@@ -35,8 +34,6 @@ class FractionalKey:
             raise ParameterError(
                 f"key k = {self.k} must be below the alphabet size {self.alphabet_size}"
             )
-        if gcd(self.k, self.alphabet_size) != 1:
-            raise ParameterError("k must be coprime to the alphabet size")
 
     @property
     def messages(self) -> range:

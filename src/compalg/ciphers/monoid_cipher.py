@@ -133,8 +133,6 @@ def discrete_log_exhaustive(base: int, target: int, p: int) -> int:
         if cur == target:
             return m
         cur = cur * base % p
-    if target == 1:
-        return 0
     raise ParameterError(f"{target} is not a power of {base} mod {p}")
 
 

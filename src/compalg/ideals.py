@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import is_prime
-from .errors import ParameterError
+from .errors import CeilingError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,11 @@ class PrincipalIdeal:
         return is_prime(self.generator)
 
     def __repr__(self):
-        return f"({self.generator})"
+        try:
+            return f"({self.generator})"
+        except ValueError:  # str() writes at most sys.get_int_max_str_digits() digits
+            raise CeilingError(f"a generator of {self.generator.bit_length()} bits has more "
+                               "digits than str() writes") from None
 
 
 def ideal(n: int) -> PrincipalIdeal:

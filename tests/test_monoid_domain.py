@@ -2,13 +2,9 @@
 construction and its brute-force verification."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from math import gcd, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,27 +149,6 @@ def test_two_generator_rule_matches_the_apery_set(a, b, d, m):
     monoid = NumericalMonoid([a * d, b * d])
     least = monoid_domain._apery_set(monoid.generators)[m % monoid.generators[0]]
     assert monoid.contains(m) == (least is not None and least <= m)
-
-
-def _cli_child(*argv):
-    """Exit code and stdout of the CLI run in a fresh interpreter."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "compalg.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert "Traceback" not in done.stderr, done.stderr
-    return done.returncode, done.stdout
-
-
-def test_cli_answers_a_huge_exponent_quickly():
-    assert _cli_child("monoid", "contains", "M<2,3>", "100000000") == (0, "true\n")
-
-
-def test_cli_answers_two_huge_generators_without_a_table():
-    assert _cli_child("monoid", "contains", "M<30000000,30000001>", "5000000000") == (0, "false\n")
 
 
 # --- elements -------------------------------------------------------------
